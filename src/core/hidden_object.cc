@@ -82,7 +82,8 @@ StatusOr<std::unique_ptr<HiddenObject>> HiddenObject::Create(
 
   // Refuse to create a second object under the same (name, key): its header
   // would shadow or be shadowed by the existing one.
-  HeaderLocator locator(vol.cache, vol.bitmap, vol.layout, vol.probe_limit);
+  HeaderLocator locator(vol.cache, vol.bitmap, vol.layout, vol.probe_limit,
+                        vol.locator_stats);
   auto existing = locator.FindHeader(physical_name, access_key,
                                      obj->crypter_);
   if (existing.ok()) {
@@ -136,7 +137,8 @@ StatusOr<std::unique_ptr<HiddenObject>> HiddenObject::Open(
     const std::string& access_key) {
   std::unique_ptr<HiddenObject> obj(
       new HiddenObject(vol, physical_name, access_key));
-  HeaderLocator locator(vol.cache, vol.bitmap, vol.layout, vol.probe_limit);
+  HeaderLocator locator(vol.cache, vol.bitmap, vol.layout, vol.probe_limit,
+                        vol.locator_stats);
   auto found = locator.FindHeader(physical_name, access_key, obj->crypter_);
   Status primary_status = found.status();
   bool have_primary = false;
@@ -427,7 +429,7 @@ Status HiddenObject::Sync() {
   if (anchor_block_ == 0) {
     // Object predates durability on this volume: claim its anchor now.
     HeaderLocator locator(vol_.cache, vol_.bitmap, vol_.layout,
-                          vol_.probe_limit);
+                          vol_.probe_limit, vol_.locator_stats);
     STEGFS_ASSIGN_OR_RETURN(
         LocateResult anchor,
         locator.ClaimHeaderBlock(AnchorName(physical_name_), access_key_));

@@ -78,6 +78,8 @@ struct HiddenVolume {
   // Volume-wide share accounting for redundant objects (may stay null:
   // counters are then simply not kept).
   RedundancyStats* red_stats = nullptr;
+  // Volume-wide locator probe counters (may stay null, like red_stats).
+  LocatorStats* locator_stats = nullptr;
 };
 
 // Threading contract: one HiddenObject instance is used by one thread at a

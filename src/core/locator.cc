@@ -1,6 +1,5 @@
 #include "core/locator.h"
 
-#include <cstring>
 #include <vector>
 
 #include "crypto/keys.h"
@@ -23,6 +22,7 @@ StatusOr<LocateResult> HeaderLocator::ClaimHeaderBlock(
   for (uint32_t i = 0; i < probe_limit_; ++i) {
     uint64_t candidate = seq.Next();
     ++result.probes;
+    if (stats_ != nullptr) stats_->probes.Increment();
     if (!bitmap_->IsAllocated(candidate)) {
       Status claimed = bitmap_->Allocate(candidate);
       if (claimed.IsFailedPrecondition()) {
@@ -46,14 +46,22 @@ StatusOr<LocateResult> HeaderLocator::FindHeader(
   crypto::Sha256Digest expect =
       crypto::FileSignature(physical_name, access_key);
   std::vector<uint8_t> buf(layout_.block_size);
+  crypto::Sha256Digest signature;
   LocateResult result;
   for (uint32_t i = 0; i < probe_limit_; ++i) {
     uint64_t candidate = seq.Next();
     ++result.probes;
+    if (stats_ != nullptr) stats_->probes.Increment();
     if (!bitmap_->IsAllocated(candidate)) continue;
     STEGFS_RETURN_IF_ERROR(cache_->Read(candidate, buf.data()));
-    crypter.DecryptBlock(candidate, buf.data(), buf.size());
-    if (std::memcmp(buf.data(), expect.data(), expect.size()) == 0) {
+    // The signature is the header's first two CBC cells, and those depend
+    // only on the ESSIV IV and ciphertext cells 0-1: decrypting just that
+    // prefix is the same test as decrypting the block. A match is re-read
+    // whole through the object's store by the caller.
+    crypter.DecryptPrefix(candidate, buf.data(), signature.data(),
+                          signature.size());
+    if (stats_ != nullptr) stats_->signature_checks.Increment();
+    if (signature == expect) {
       result.header_block = candidate;
       return result;
     }

@@ -5,13 +5,13 @@
 // becomes the header block.
 //
 // Retrieval: the same candidate sequence is probed; for each candidate that
-// is ALLOCATED in the bitmap, the block is read, decrypted with the key, and
-// its signature compared against SHA-256(name || key). Free candidates are
-// skipped (they were occupied at creation time, or have been freed since —
-// either way the header cannot be there now... unless it was freed, which
-// means the object was deleted). A probe limit bounds the cost of looking
-// up objects that do not exist; with the volume never 100% full, the real
-// header is found long before the limit.
+// is ALLOCATED in the bitmap, the block is read, its 32-byte signature
+// prefix decrypted with the key and compared against SHA-256(name || key).
+// Free candidates are skipped (they were occupied at creation time, or
+// have been freed since — either way the header cannot be there now...
+// unless it was freed, which means the object was deleted). A probe limit
+// bounds the cost of looking up objects that do not exist; with the volume
+// never 100% full, the real header is found long before the limit.
 #ifndef STEGFS_CORE_LOCATOR_H_
 #define STEGFS_CORE_LOCATOR_H_
 
@@ -23,6 +23,7 @@
 #include "crypto/prng.h"
 #include "fs/bitmap.h"
 #include "fs/layout.h"
+#include "obs/metrics.h"
 #include "util/status.h"
 #include "util/statusor.h"
 
@@ -47,14 +48,33 @@ struct LocateResult {
   uint32_t probes = 0;  // candidates examined (for the A3 ablation)
 };
 
+// Volume-wide locator instruments; StegFs registers them in the mount's
+// registry. The header blocks the probes read are counted by the cache as
+// lookups; the prefix decrypts are not block decrypts and stay out of
+// stegfs_crypto_blocks_decrypted_total.
+struct LocatorStats {
+  obs::Counter probes;            // candidates drawn (claims and finds)
+  obs::Counter signature_checks;  // allocated candidates prefix-decrypted
+
+  void RegisterWith(obs::MetricsRegistry* reg) const {
+    reg->RegisterCounter("stegfs_locator_probes_total",
+                         "Header locator candidates drawn", &probes);
+    reg->RegisterCounter("stegfs_locator_signature_checks_total",
+                         "Allocated candidates whose signature was checked",
+                         &signature_checks);
+  }
+};
+
 class HeaderLocator {
  public:
+  // `stats` may be null: nothing is counted then.
   HeaderLocator(BufferCache* cache, BlockBitmap* bitmap, const Layout& layout,
-                uint32_t probe_limit)
+                uint32_t probe_limit, LocatorStats* stats = nullptr)
       : cache_(cache),
         bitmap_(bitmap),
         layout_(layout),
-        probe_limit_(probe_limit) {}
+        probe_limit_(probe_limit),
+        stats_(stats) {}
 
   // Finds a free block for a new header (first free candidate) and marks it
   // allocated in the bitmap.
@@ -72,6 +92,7 @@ class HeaderLocator {
   BlockBitmap* bitmap_;
   Layout layout_;
   uint32_t probe_limit_;
+  LocatorStats* stats_;
 };
 
 }  // namespace stegfs

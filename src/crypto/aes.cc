@@ -244,13 +244,23 @@ void Aes::EncryptBlocksEcb(const uint8_t* in, uint8_t* out, size_t n) const {
   }
 }
 
-void Aes::DecryptBlocksEcb(const uint8_t* in, uint8_t* out, size_t n) const {
+void Aes::DecryptCbc(const uint8_t iv[16], const uint8_t* in, uint8_t* out,
+                     size_t n) const {
   if (ActiveAesTier() == AesTier::kAesNi) {
-    aesni::DecryptEcb(dec_ks_, rounds_, in, out, n);
+    aesni::DecryptCbc(dec_ks_, rounds_, iv, in, out, n);
     return;
   }
-  for (size_t i = 0; i < n; ++i) {
-    DecryptBlockTable(in + 16 * i, out + 16 * i);
+  for (size_t i = n; i-- > 0;) {
+    const uint8_t* chain = i == 0 ? iv : in + 16 * (i - 1);
+    uint8_t cell[16];
+    DecryptBlockTable(in + 16 * i, cell);
+    for (int w = 0; w < 16; w += 8) {
+      uint64_t a, b;
+      std::memcpy(&a, cell + w, 8);
+      std::memcpy(&b, chain + w, 8);
+      a ^= b;
+      std::memcpy(out + 16 * i + w, &a, 8);
+    }
   }
 }
 

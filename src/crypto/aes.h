@@ -50,7 +50,15 @@ class Aes {
   // AES-NI tier pipelines four blocks per dispatch; the table tier loops.
   // in and out may be the same buffer (per-block aliasing).
   void EncryptBlocksEcb(const uint8_t* in, uint8_t* out, size_t n) const;
-  void DecryptBlocksEcb(const uint8_t* in, uint8_t* out, size_t n) const;
+
+  // CBC decryption of n 16-byte cells chained from `iv`:
+  // out[i] = D(in[i]) ^ in[i-1], with iv in place of in[-1]. No copy and
+  // no allocation: the AES-NI tier runs one fused pass with eight cells in
+  // flight; the table tier walks the cells backwards, so each chain cell
+  // is read before it is overwritten. in and out must be the same buffer
+  // or not overlap at all.
+  void DecryptCbc(const uint8_t iv[16], const uint8_t* in, uint8_t* out,
+                  size_t n) const;
 
   // Four independent 16-byte blocks at unrelated addresses — the lane
   // primitive BlockCrypter uses to interleave four CBC chains (one per

@@ -68,33 +68,6 @@ STEGFS_AESNI void EncryptEcb(const uint8_t* enc_ks, int rounds,
   for (; i < n; ++i) Encrypt1(enc_ks, rounds, in + 16 * i, out + 16 * i);
 }
 
-STEGFS_AESNI void DecryptEcb(const uint8_t* dec_ks, int rounds,
-                             const uint8_t* in, uint8_t* out, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m128i* src = reinterpret_cast<const __m128i*>(in) + i;
-    __m128i k = Key(dec_ks, 0);
-    __m128i s0 = _mm_xor_si128(_mm_loadu_si128(src + 0), k);
-    __m128i s1 = _mm_xor_si128(_mm_loadu_si128(src + 1), k);
-    __m128i s2 = _mm_xor_si128(_mm_loadu_si128(src + 2), k);
-    __m128i s3 = _mm_xor_si128(_mm_loadu_si128(src + 3), k);
-    for (int r = 1; r < rounds; ++r) {
-      k = Key(dec_ks, r);
-      s0 = _mm_aesdec_si128(s0, k);
-      s1 = _mm_aesdec_si128(s1, k);
-      s2 = _mm_aesdec_si128(s2, k);
-      s3 = _mm_aesdec_si128(s3, k);
-    }
-    k = Key(dec_ks, rounds);
-    __m128i* dst = reinterpret_cast<__m128i*>(out) + i;
-    _mm_storeu_si128(dst + 0, _mm_aesdeclast_si128(s0, k));
-    _mm_storeu_si128(dst + 1, _mm_aesdeclast_si128(s1, k));
-    _mm_storeu_si128(dst + 2, _mm_aesdeclast_si128(s2, k));
-    _mm_storeu_si128(dst + 3, _mm_aesdeclast_si128(s3, k));
-  }
-  for (; i < n; ++i) Decrypt1(dec_ks, rounds, in + 16 * i, out + 16 * i);
-}
-
 STEGFS_AESNI void Encrypt4(const uint8_t* enc_ks, int rounds,
                            const uint8_t* const in[4],
                            uint8_t* const out[4]) {
@@ -125,6 +98,52 @@ STEGFS_AESNI void Encrypt4(const uint8_t* enc_ks, int rounds,
                    _mm_aesenclast_si128(s3, k));
 }
 
+STEGFS_AESNI void DecryptCbc(const uint8_t* dec_ks, int rounds,
+                             const uint8_t iv[16], const uint8_t* in,
+                             uint8_t* out, size_t n) {
+  const __m128i* src = reinterpret_cast<const __m128i*>(in);
+  __m128i* dst = reinterpret_cast<__m128i*>(out);
+  __m128i chain = _mm_loadu_si128(reinterpret_cast<const __m128i*>(iv));
+  // The last round's AddRoundKey absorbs the CBC XOR:
+  // aesdeclast(s, k ^ c) == aesdeclast(s, k) ^ c.
+  const __m128i last = Key(dec_ks, rounds);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    __m128i s[8];
+    __m128i k = Key(dec_ks, 0);
+#pragma GCC unroll 8
+    for (int j = 0; j < 8; ++j) {
+      s[j] = _mm_xor_si128(_mm_loadu_si128(src + i + j), k);
+    }
+    for (int r = 1; r < rounds; ++r) {
+      k = Key(dec_ks, r);
+#pragma GCC unroll 8
+      for (int j = 0; j < 8; ++j) s[j] = _mm_aesdec_si128(s[j], k);
+    }
+    // Read every chain cell of the group before the first store: with
+    // in == out the stores overwrite them.
+    __m128i x[8];
+    x[0] = _mm_xor_si128(last, chain);
+#pragma GCC unroll 8
+    for (int j = 1; j < 8; ++j) {
+      x[j] = _mm_xor_si128(last, _mm_loadu_si128(src + i + j - 1));
+    }
+    chain = _mm_loadu_si128(src + i + 7);
+#pragma GCC unroll 8
+    for (int j = 0; j < 8; ++j) {
+      _mm_storeu_si128(dst + i + j, _mm_aesdeclast_si128(s[j], x[j]));
+    }
+  }
+  for (; i < n; ++i) {
+    __m128i c = _mm_loadu_si128(src + i);
+    __m128i s = _mm_xor_si128(c, Key(dec_ks, 0));
+    for (int r = 1; r < rounds; ++r) s = _mm_aesdec_si128(s, Key(dec_ks, r));
+    _mm_storeu_si128(dst + i,
+                     _mm_aesdeclast_si128(s, _mm_xor_si128(last, chain)));
+    chain = c;
+  }
+}
+
 #undef STEGFS_AESNI
 
 }  // namespace aesni
@@ -145,10 +164,11 @@ void Decrypt1(const uint8_t*, int, const uint8_t*, uint8_t*) { std::abort(); }
 void EncryptEcb(const uint8_t*, int, const uint8_t*, uint8_t*, size_t) {
   std::abort();
 }
-void DecryptEcb(const uint8_t*, int, const uint8_t*, uint8_t*, size_t) {
+void Encrypt4(const uint8_t*, int, const uint8_t* const*, uint8_t* const*) {
   std::abort();
 }
-void Encrypt4(const uint8_t*, int, const uint8_t* const*, uint8_t* const*) {
+void DecryptCbc(const uint8_t*, int, const uint8_t*, const uint8_t*, uint8_t*,
+                size_t) {
   std::abort();
 }
 

@@ -33,13 +33,18 @@ void Decrypt1(const uint8_t* dec_ks, int rounds, const uint8_t in[16],
 // latency). in/out may be the same buffer.
 void EncryptEcb(const uint8_t* enc_ks, int rounds, const uint8_t* in,
                 uint8_t* out, size_t n);
-void DecryptEcb(const uint8_t* dec_ks, int rounds, const uint8_t* in,
-                uint8_t* out, size_t n);
 
 // Four independent blocks at unrelated addresses (CBC lane interleaving
 // across device blocks). in[i] and out[i] may alias per lane.
 void Encrypt4(const uint8_t* enc_ks, int rounds, const uint8_t* const in[4],
               uint8_t* const out[4]);
+
+// CBC decryption of n cells in one fused pass: out[i] = D(in[i]) ^ in[i-1]
+// (the iv for i = 0), eight cells in flight at a time, each group's chain
+// values loaded before any of its output is stored. in and out may be the
+// same buffer.
+void DecryptCbc(const uint8_t* dec_ks, int rounds, const uint8_t iv[16],
+                const uint8_t* in, uint8_t* out, size_t n);
 
 }  // namespace aesni
 }  // namespace crypto

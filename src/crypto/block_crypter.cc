@@ -1,5 +1,6 @@
 #include "crypto/block_crypter.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -111,23 +112,23 @@ void BlockCrypter::DecryptBlocks(const CryptSpan* spans, size_t n,
   obs::CryptoMetrics& cm = obs::GlobalCryptoMetrics();
   obs::LatencyTimer timer(&cm.decrypt_ns);
   cm.blocks_decrypted.Add(n);
-  std::vector<uint8_t> ivs(n * 16);
-  ComputeIvs(spans, n, ivs.data());
-
-  // CBC decryption is ciphertext-parallel: keep a copy of the ciphertext,
-  // ECB-decrypt the whole block pipelined, then XOR each 16-byte cell with
-  // the previous ciphertext cell (the IV for the first).
-  std::vector<uint8_t> cipher(size);
-  for (size_t s = 0; s < n; ++s) {
-    uint8_t* data = spans[s].data;
-    std::memcpy(cipher.data(), data, size);
-    data_cipher_->DecryptBlocksEcb(data, data, size / 16);
-    for (int i = 0; i < 16; ++i) data[i] ^= ivs[s * 16 + i];
-    for (size_t off = 16; off < size; off += 16) {
-      const uint8_t* prev = cipher.data() + off - 16;
-      for (int i = 0; i < 16; ++i) data[off + i] ^= prev[i];
+  uint8_t ivs[kIvBatch * 16];
+  for (size_t base = 0; base < n; base += kIvBatch) {
+    const size_t m = std::min(kIvBatch, n - base);
+    ComputeIvs(spans + base, m, ivs);
+    for (size_t s = 0; s < m; ++s) {
+      uint8_t* data = spans[base + s].data;
+      data_cipher_->DecryptCbc(&ivs[s * 16], data, data, size / 16);
     }
   }
+}
+
+void BlockCrypter::DecryptPrefix(uint64_t block_number, const uint8_t* in,
+                                 uint8_t* out, size_t len) const {
+  assert(len % 16 == 0);
+  uint8_t iv[16];
+  ComputeIv(block_number, iv);
+  data_cipher_->DecryptCbc(iv, in, out, len / 16);
 }
 
 }  // namespace crypto

@@ -42,16 +42,28 @@ class BlockCrypter {
   void DecryptBlock(uint64_t block_number, uint8_t* data, size_t size) const;
 
   // Batch transforms over n device blocks of `size` bytes each, in place.
-  // All ESSIV IVs are derived in one pipelined ECB pass; encryption then
+  // The ESSIV IVs are derived in pipelined ECB passes; encryption then
   // interleaves four device blocks' CBC chains through the AES pipeline
   // (chains are independent across blocks, sequential only within one),
-  // and decryption runs each block as a single pipelined ECB pass followed
-  // by the XOR un-chaining. Bitwise-identical to calling the single-block
-  // transforms once per span.
+  // and decryption runs each block through Aes::DecryptCbc, which needs
+  // neither a ciphertext copy nor a heap allocation. Bitwise-identical to
+  // calling the single-block transforms once per span.
   void EncryptBlocks(const CryptSpan* spans, size_t n, size_t size) const;
   void DecryptBlocks(const CryptSpan* spans, size_t n, size_t size) const;
 
+  // Decrypts only the first `len` bytes (a multiple of 16, at most the
+  // block size) of device block `block_number` from `in` into `out`.
+  // Plaintext cell i of a CBC block depends only on the IV and ciphertext
+  // cells i-1 and i, so this equals the first `len` bytes of
+  // DecryptBlock. The locator's signature probe uses it; it is not
+  // counted in stegfs_crypto_blocks_decrypted_total.
+  void DecryptPrefix(uint64_t block_number, const uint8_t* in, uint8_t* out,
+                     size_t len) const;
+
  private:
+  // Spans whose IVs DecryptBlocks derives in one ECB pass (a stack array).
+  static constexpr size_t kIvBatch = 32;
+
   void ComputeIv(uint64_t block_number, uint8_t iv[16]) const;
   // Derives the IVs for n spans into ivs (n * 16 bytes) with one ECB batch.
   void ComputeIvs(const CryptSpan* spans, size_t n, uint8_t* ivs) const;

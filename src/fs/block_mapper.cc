@@ -38,38 +38,55 @@ StatusOr<uint64_t> BlockMapper::AllocateZeroedPointerBlock(
 
 StatusOr<uint64_t> BlockMapper::Map(const Inode& inode, uint64_t idx,
                                     BlockStore* store) {
-  if (idx < kDirectPointers) {
-    uint32_t b = inode.direct[idx];
-    if (b == kNullBlock) return Status::NotFound("hole (direct)");
-    return static_cast<uint64_t>(b);
-  }
-  idx -= kDirectPointers;
-  if (idx < ptrs_per_block_) {
-    if (inode.single_indirect == kNullBlock) {
-      return Status::NotFound("hole (single indirect missing)");
+  uint64_t block = kNullBlock;
+  STEGFS_RETURN_IF_ERROR(MapRange(inode, idx, 1, store, &block));
+  if (block == kNullBlock) return Status::NotFound("hole");
+  return block;
+}
+
+Status BlockMapper::MapRange(const Inode& inode, uint64_t first, size_t count,
+                             BlockStore* store, uint64_t* out) {
+  // Pointer blocks are loaded on first use: the single-indirect block and
+  // the double-indirect L1 at most once, an L2 block once per L1 slot
+  // (file indices ascend, so each L2 is visited in one run).
+  std::vector<uint32_t> single, l1, l2;
+  uint64_t l2_outer = ptrs_per_block_;  // no L2 loaded yet
+  for (size_t i = 0; i < count; ++i) {
+    uint64_t idx = first + i;
+    uint32_t block = kNullBlock;
+    if (idx < kDirectPointers) {
+      block = inode.direct[idx];
+    } else if ((idx -= kDirectPointers) < ptrs_per_block_) {
+      if (inode.single_indirect != kNullBlock) {
+        if (single.empty()) {
+          STEGFS_RETURN_IF_ERROR(
+              ReadPointerBlock(store, inode.single_indirect, &single));
+        }
+        block = single[idx];
+      }
+    } else {
+      idx -= ptrs_per_block_;
+      const uint64_t outer = idx / ptrs_per_block_;
+      if (outer >= ptrs_per_block_) {
+        return Status::InvalidArgument("file block index beyond maximum size");
+      }
+      if (inode.double_indirect != kNullBlock) {
+        if (l1.empty()) {
+          STEGFS_RETURN_IF_ERROR(
+              ReadPointerBlock(store, inode.double_indirect, &l1));
+        }
+        if (l1[outer] != kNullBlock) {
+          if (outer != l2_outer) {
+            STEGFS_RETURN_IF_ERROR(ReadPointerBlock(store, l1[outer], &l2));
+            l2_outer = outer;
+          }
+          block = l2[idx % ptrs_per_block_];
+        }
+      }
     }
-    std::vector<uint32_t> ptrs;
-    STEGFS_RETURN_IF_ERROR(
-        ReadPointerBlock(store, inode.single_indirect, &ptrs));
-    if (ptrs[idx] == kNullBlock) return Status::NotFound("hole (single)");
-    return static_cast<uint64_t>(ptrs[idx]);
+    out[i] = block;
   }
-  idx -= ptrs_per_block_;
-  uint64_t outer = idx / ptrs_per_block_;
-  uint64_t inner = idx % ptrs_per_block_;
-  if (outer >= ptrs_per_block_) {
-    return Status::InvalidArgument("file block index beyond maximum size");
-  }
-  if (inode.double_indirect == kNullBlock) {
-    return Status::NotFound("hole (double indirect missing)");
-  }
-  std::vector<uint32_t> l1;
-  STEGFS_RETURN_IF_ERROR(ReadPointerBlock(store, inode.double_indirect, &l1));
-  if (l1[outer] == kNullBlock) return Status::NotFound("hole (double L1)");
-  std::vector<uint32_t> l2;
-  STEGFS_RETURN_IF_ERROR(ReadPointerBlock(store, l1[outer], &l2));
-  if (l2[inner] == kNullBlock) return Status::NotFound("hole (double L2)");
-  return static_cast<uint64_t>(l2[inner]);
+  return Status::OK();
 }
 
 StatusOr<uint64_t> BlockMapper::MapOrAllocate(Inode* inode, uint64_t idx,

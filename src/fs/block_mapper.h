@@ -30,6 +30,14 @@ class BlockMapper {
   // Device block holding file block `idx`, or NotFound for a hole.
   StatusOr<uint64_t> Map(const Inode& inode, uint64_t idx, BlockStore* store);
 
+  // Resolves file blocks [first, first + count) into out[0, count): the
+  // device block, or kNullBlock for a hole. Each pointer block the range
+  // touches is read from the store once, so a 256-block extent past the
+  // direct pointers costs one read (and, on a hidden file, one decrypt)
+  // per pointer block rather than one per file block.
+  Status MapRange(const Inode& inode, uint64_t first, size_t count,
+                  BlockStore* store, uint64_t* out);
+
   // Like Map but allocates missing data/indirect blocks. Sets *inode_dirty
   // when the inode's pointer fields changed.
   StatusOr<uint64_t> MapOrAllocate(Inode* inode, uint64_t idx,

@@ -28,42 +28,30 @@ Status FileIo::ReadImpl(Inode* inode, uint64_t offset, uint64_t n,
   const bool verify = redundancy_ != nullptr && alloc != nullptr;
 
   // One chunk = up to kMaxBatchBlocks file blocks: resolve the mapping for
-  // the whole chunk, fetch every mapped block with one vectored store
-  // read, then assemble bytes (holes read as zeros).
+  // the whole chunk (one read per pointer block it touches), fetch every
+  // mapped block with one vectored store read, then assemble bytes (holes
+  // read as zeros).
+  std::vector<uint64_t> mapping;
   std::vector<uint64_t> device_blocks;
   std::vector<uint64_t> file_idxs;
-  std::vector<bool> is_hole;
-  std::vector<uint32_t> takes;
   std::vector<uint8_t> buf;
   uint64_t total_blocks = 0;
   while (n > 0) {
+    const uint64_t first_idx = offset / block_size_;
+    const size_t count = static_cast<size_t>(std::min<uint64_t>(
+        kMaxBatchBlocks, (offset + n - 1) / block_size_ - first_idx + 1));
+    mapping.resize(count);
+    STEGFS_RETURN_IF_ERROR(
+        mapper_.MapRange(*inode, first_idx, count, store, mapping.data()));
     device_blocks.clear();
     file_idxs.clear();
-    is_hole.clear();
-    takes.clear();
-    uint64_t chunk_off = offset;
-    uint64_t chunk_n = n;
-    while (chunk_n > 0 && is_hole.size() < kMaxBatchBlocks) {
-      uint64_t block_idx = chunk_off / block_size_;
-      uint32_t in_block = static_cast<uint32_t>(chunk_off % block_size_);
-      uint32_t take = static_cast<uint32_t>(
-          std::min<uint64_t>(chunk_n, block_size_ - in_block));
-      auto mapped = mapper_.Map(*inode, block_idx, store);
-      if (mapped.ok()) {
-        is_hole.push_back(false);
-        device_blocks.push_back(mapped.value());
-        file_idxs.push_back(block_idx);
-      } else if (mapped.status().IsNotFound()) {
-        is_hole.push_back(true);
-      } else {
-        return mapped.status();
-      }
-      takes.push_back(take);
-      chunk_off += take;
-      chunk_n -= take;
+    for (size_t i = 0; i < count; ++i) {
+      if (mapping[i] == kNullBlock) continue;
+      device_blocks.push_back(mapping[i]);
+      file_idxs.push_back(first_idx + i);
     }
 
-    total_blocks += takes.size();
+    total_blocks += count;
     // Submit the chunk ascending by LBA: the io_uring backend then
     // issues monotonic offsets and the FileBlockDevice coalescer sees
     // every contiguous run the mapping contains. Plain contiguous
@@ -102,18 +90,20 @@ Status FileIo::ReadImpl(Inode* inode, uint64_t offset, uint64_t n,
     }
 
     size_t mapped_i = 0;
-    for (size_t i = 0; i < takes.size(); ++i) {
-      uint32_t in_block = static_cast<uint32_t>(offset % block_size_);
-      if (is_hole[i]) {
-        out->append(takes[i], '\0');
+    for (size_t i = 0; i < count; ++i) {
+      const uint32_t in_block = static_cast<uint32_t>(offset % block_size_);
+      const uint32_t take = static_cast<uint32_t>(
+          std::min<uint64_t>(n, block_size_ - in_block));
+      if (mapping[i] == kNullBlock) {
+        out->append(take, '\0');
       } else {
         const uint8_t* src =
             buf.data() + slot_of[mapped_i] * block_size_ + in_block;
-        out->append(reinterpret_cast<const char*>(src), takes[i]);
+        out->append(reinterpret_cast<const char*>(src), take);
         ++mapped_i;
       }
-      offset += takes[i];
-      n -= takes[i];
+      offset += take;
+      n -= take;
     }
   }
 
@@ -130,20 +120,21 @@ Status FileIo::ReadImpl(Inode* inode, uint64_t offset, uint64_t n,
 
 void FileIo::IssueReadahead(const Inode& inode, uint64_t next_idx,
                             BlockStore* store) {
-  std::vector<uint64_t> blocks;
   uint64_t file_blocks = (inode.size + block_size_ - 1) / block_size_;
   // The window is the next readahead_ FILE blocks — holes inside it yield
-  // nothing but do not extend the scan, so a sparse tail costs at most
-  // readahead_ mapper lookups per read, never a walk of the whole file.
+  // nothing but do not extend the scan, so a sparse tail costs at most one
+  // window's mapping per read, never a walk of the whole file.
   uint64_t window_end = std::min(file_blocks, next_idx + readahead_);
-  for (uint64_t idx = next_idx; idx < window_end; ++idx) {
-    auto mapped = mapper_.Map(inode, idx, store);
-    if (!mapped.ok()) {
-      if (mapped.status().IsNotFound()) continue;  // hole: nothing to warm
-      return;  // mapping error: skip the hint, the demand path reports it
-    }
-    blocks.push_back(mapped.value());
+  if (next_idx >= window_end) return;
+  std::vector<uint64_t> blocks(window_end - next_idx);
+  // A mapping error skips the hint; the demand path reports it.
+  if (!mapper_.MapRange(inode, next_idx, blocks.size(), store, blocks.data())
+           .ok()) {
+    return;
   }
+  blocks.erase(std::remove(blocks.begin(), blocks.end(),
+                           static_cast<uint64_t>(kNullBlock)),
+               blocks.end());
   if (!blocks.empty()) store->Prefetch(blocks.data(), blocks.size());
 }
 

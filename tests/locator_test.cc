@@ -5,6 +5,8 @@
 #include "blockdev/mem_block_device.h"
 #include "core/hidden_header.h"
 #include "crypto/keys.h"
+#include "obs/metrics.h"
+#include "util/random.h"
 
 namespace stegfs {
 namespace {
@@ -157,6 +159,59 @@ TEST_F(LocatorTest, TwoObjectsCoexistOnOverlappingChains) {
     std::string key = "k" + std::to_string(i);
     EXPECT_TRUE(locator_.FindHeader(name, key, crypters[i]).ok()) << i;
   }
+}
+
+// A fixed volume — a third of the data region holding foreign noise, plus
+// the first six candidates of the pinned object — must keep giving the
+// same header block after the same number of probes: the A3 ablation
+// (bench_ablation_probe) reports these probe counts. The registry
+// counters see every candidate drawn and every signature check, and the
+// prefix checks add nothing to the block-decrypt counter.
+TEST_F(LocatorTest, PinnedVolumeGivesSameHeaderAndProbeCounts) {
+  Xoshiro rng(0x10c8);
+  std::vector<uint8_t> noise(layout_.block_size);
+  auto occupy = [&](uint64_t b) {
+    ASSERT_TRUE(bitmap_.Allocate(b).ok());
+    rng.FillBytes(noise.data(), noise.size());
+    ASSERT_TRUE(cache_.Write(b, noise.data()).ok());
+  };
+  for (uint64_t b = layout_.data_start; b < layout_.num_blocks; ++b) {
+    if (rng.Uniform(3) == 0) occupy(b);
+  }
+  CandidateSequence seq("pinned-object", "pinned-key", layout_);
+  for (int i = 0; i < 6; ++i) {
+    uint64_t b = seq.Next();
+    if (!bitmap_.IsAllocated(b)) occupy(b);
+  }
+
+  LocatorStats stats;
+  HeaderLocator locator(&cache_, &bitmap_, layout_, 1000, &stats);
+  auto claim = locator.ClaimHeaderBlock("pinned-object", "pinned-key");
+  ASSERT_TRUE(claim.ok());
+  EXPECT_EQ(claim->header_block, 6190u);
+  EXPECT_EQ(claim->probes, 7u);
+  EXPECT_EQ(stats.probes.value(), 7u);
+  EXPECT_EQ(stats.signature_checks.value(), 0u);
+  PlantHeader("pinned-object", "pinned-key", claim->header_block);
+
+  crypto::BlockCrypter crypter("pinned-key");
+  const uint64_t decrypted_before =
+      obs::GlobalCryptoMetrics().blocks_decrypted.value();
+  auto found = locator.FindHeader("pinned-object", "pinned-key", crypter);
+  ASSERT_TRUE(found.ok()) << found.status().ToString();
+  EXPECT_EQ(found->header_block, 6190u);
+  EXPECT_EQ(found->probes, 7u);
+  EXPECT_EQ(stats.probes.value(), 14u);
+  EXPECT_EQ(stats.signature_checks.value(), 7u);
+
+  // A not-found scan draws the whole probe limit and checks every
+  // allocated candidate among them.
+  auto missing = locator.FindHeader("missing-object", "pinned-key", crypter);
+  EXPECT_TRUE(missing.status().IsNotFound());
+  EXPECT_EQ(stats.probes.value(), 1014u);
+  EXPECT_EQ(stats.signature_checks.value(), 366u);
+  EXPECT_EQ(obs::GlobalCryptoMetrics().blocks_decrypted.value(),
+            decrypted_before);
 }
 
 }  // namespace
