@@ -5,6 +5,10 @@
 // geometric distribution with success probability (1 - fill): at 50% fill
 // ~2 probes, at 90% ~10, at 99% ~100. This bounds the overhead StegFS pays
 // for having no central index — negligible against whole-file I/O.
+//
+// Probe counts come from the volume's metrics registry, as deltas of
+// stegfs_locator_probes_total around each Create and Open — the same
+// counter an operator scrapes from a mounted volume.
 #include <algorithm>
 #include <cstdio>
 #include <vector>
@@ -13,7 +17,9 @@
 #include "blockdev/mem_block_device.h"
 #include "cache/buffer_cache.h"
 #include "core/hidden_object.h"
+#include "core/locator.h"
 #include "fs/bitmap.h"
+#include "obs/metrics.h"
 #include "util/random.h"
 
 using namespace stegfs;
@@ -49,28 +55,42 @@ int main() {
     vol.params.free_pool_max = 0;  // isolate the locator cost
     vol.rng = &rng;
     vol.probe_limit = 100000;
+    LocatorStats locator_stats;
+    obs::MetricsRegistry registry;
+    locator_stats.RegisterWith(&registry);
+    vol.locator_stats = &locator_stats;
+    auto probes_total = [&registry] {
+      return registry.Snapshot().counter("stegfs_locator_probes_total");
+    };
 
-    std::vector<uint32_t> probes;
+    std::vector<uint64_t> probes;
     const int kObjects = 200;
     for (int i = 0; i < kObjects; ++i) {
       std::string name = "probe-obj-" + std::to_string(i);
       std::string key = "probe-key-" + std::to_string(i);
+      uint64_t before = probes_total();
       auto obj = HiddenObject::Create(vol, name, key, HiddenType::kFile);
       if (!obj.ok()) break;
-      probes.push_back((*obj)->last_probe_count());
+      // A create first proves (name, key) unused with a not-found scan,
+      // which draws exactly probe_limit candidates; the rest claimed the
+      // header block.
+      probes.push_back(probes_total() - before - vol.probe_limit);
       (void)(*obj)->Sync();
       // Reopen: same probe distribution applies to lookups.
+      before = probes_total();
       auto reopened = HiddenObject::Open(vol, name, key);
-      if (reopened.ok()) probes.push_back((*reopened)->last_probe_count());
+      if (reopened.ok()) probes.push_back(probes_total() - before);
     }
     if (probes.empty()) continue;
     std::sort(probes.begin(), probes.end());
     double mean = 0;
-    for (uint32_t p : probes) mean += p;
+    for (uint64_t p : probes) mean += p;
     mean /= probes.size();
-    std::printf("%-10.2f %10.2f %10u %10u %12u\n", fill, mean,
-                probes[probes.size() / 2], probes[probes.size() * 99 / 100],
-                probes.back());
+    std::printf("%-10.2f %10.2f %10llu %10llu %12llu\n", fill, mean,
+                static_cast<unsigned long long>(probes[probes.size() / 2]),
+                static_cast<unsigned long long>(
+                    probes[probes.size() * 99 / 100]),
+                static_cast<unsigned long long>(probes.back()));
   }
 
   std::printf("\nGeometric-law check: mean ~ 1/(1-fill); even at 99%% fill "

@@ -21,6 +21,8 @@
 //   hrm <objname> <uak>          delete a hidden object
 //   tick                         one dummy-maintenance round
 //   space                        volume space report
+//   metrics                      crypto tiers + the volume's metrics
+//                                (Prometheus text)
 //   quit
 #include <cstdio>
 #include <iostream>
@@ -31,6 +33,9 @@
 
 #include "blockdev/file_block_device.h"
 #include "core/stegfs.h"
+#include "crypto/aes.h"
+#include "crypto/gf256_simd.h"
+#include "crypto/sha256.h"
 #include "vfs/vfs.h"
 
 using namespace stegfs;
@@ -205,6 +210,11 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(r.allocated_blocks),
                   static_cast<unsigned long long>(r.free_blocks),
                   static_cast<unsigned long long>(r.plain_file_bytes));
+    } else if (cmd == "metrics") {
+      std::printf("# tiers: aes %s, sha %s, gf %s\n", crypto::AesTierName(),
+                  crypto::ShaTierName(), crypto::GfTierName());
+      std::printf("%s", fs->plain()->metrics_registry()->TextExposition()
+                            .c_str());
     } else {
       std::printf("unknown or incomplete command: %s\n", cmd.c_str());
     }

@@ -12,6 +12,7 @@
 #include "crypto/aes.h"
 #include "crypto/gf256_simd.h"
 #include "crypto/rsa.h"
+#include "crypto/sha256.h"
 #include "fault/fault_injection_device.h"
 
 using stegfs::Status;
@@ -237,6 +238,7 @@ int steg_stats(stegfs_volume* vol, stegfs_stats* out) {
   out->dev_coalesced_runs =
       snap.counter("stegfs_device_coalesced_runs_total");
   out->crypto_tier = stegfs::crypto::AesTierName();
+  out->sha_tier = stegfs::crypto::ShaTierName();
   out->io_engine = plain->io_engine_name();
   out->io_submitted_batches =
       snap.counter("stegfs_async_submitted_batches_total");

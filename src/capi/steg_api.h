@@ -94,6 +94,9 @@ typedef struct stegfs_stats {
   /* active AES backend: "aes-ni" or "t-table" (static string, never
    * freed; stable for the process lifetime) */
   const char* crypto_tier;
+  /* active SHA-256 backend: "sha-ni" or "sha-scalar" (static string,
+   * stable for the process lifetime) */
+  const char* sha_tier;
   /* async I/O engine (static string, stable for the handle lifetime):
    * "io_uring", "thread-pool", or "sync" when no engine is attached */
   const char* io_engine;

@@ -106,7 +106,6 @@ StatusOr<std::unique_ptr<HiddenObject>> HiddenObject::Create(
   STEGFS_ASSIGN_OR_RETURN(LocateResult claim,
                           locator.ClaimHeaderBlock(physical_name, access_key));
   obj->header_block_ = claim.header_block;
-  obj->last_probes_ = claim.probes;
   if (vol.durable) {
     STEGFS_ASSIGN_OR_RETURN(
         LocateResult anchor,
@@ -144,7 +143,6 @@ StatusOr<std::unique_ptr<HiddenObject>> HiddenObject::Open(
   bool have_primary = false;
   if (found.ok()) {
     obj->header_block_ = found->header_block;
-    obj->last_probes_ = found->probes;
     std::vector<uint8_t> buf(vol.layout.block_size);
     STEGFS_RETURN_IF_ERROR(
         obj->store_.ReadBlock(found->header_block, buf.data()));
@@ -195,7 +193,6 @@ StatusOr<std::unique_ptr<HiddenObject>> HiddenObject::Open(
                                             : afound.status();
       }
       obj->anchor_block_ = afound->header_block;
-      obj->last_probes_ = afound->probes;
       std::vector<uint8_t> abuf(vol.layout.block_size);
       STEGFS_RETURN_IF_ERROR(
           obj->store_.ReadBlock(obj->anchor_block_, abuf.data()));

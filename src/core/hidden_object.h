@@ -110,8 +110,6 @@ class HiddenObject {
   HiddenType type() const { return header_.type; }
   uint64_t size() const { return header_.inode.size; }
   uint64_t header_block() const { return header_block_; }
-  // Locator probes used by the last Create/Open (A3 ablation metric).
-  uint32_t last_probe_count() const { return last_probes_; }
   uint32_t pool_size() const {
     return static_cast<uint32_t>(header_.free_pool.size());
   }
@@ -220,7 +218,6 @@ class HiddenObject {
   std::unique_ptr<RedundancyManager> redundancy_;
   uint64_t header_block_ = 0;
   uint64_t anchor_block_ = 0;  // durable volumes only (0 otherwise)
-  uint32_t last_probes_ = 0;
   bool header_dirty_ = false;
   bool removed_ = false;
   // Pool entries acquired since the last Sync that still hold whatever the

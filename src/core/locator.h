@@ -45,7 +45,7 @@ class CandidateSequence {
 
 struct LocateResult {
   uint64_t header_block = 0;
-  uint32_t probes = 0;  // candidates examined (for the A3 ablation)
+  uint32_t probes = 0;  // candidates examined by this call
 };
 
 // Volume-wide locator instruments; StegFs registers them in the mount's

@@ -66,6 +66,10 @@ class Aes {
   void Encrypt4(const uint8_t* const in[4], uint8_t* const out[4]) const;
 
   int rounds() const { return rounds_; }
+  // The decryption ("equivalent inverse cipher") schedule in FIPS-197 byte
+  // order, 16 * (rounds() + 1) bytes — exposed for the equivalence tests
+  // against AesRef::EquivalentInverseSchedule.
+  const uint8_t* decryption_schedule() const { return dec_ks_; }
 
  private:
   void ExpandKey(const uint8_t* key, size_t key_len);

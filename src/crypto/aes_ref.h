@@ -22,6 +22,13 @@ class AesRef {
   void EncryptBlock(const uint8_t in[16], uint8_t out[16]) const;
   void DecryptBlock(const uint8_t in[16], uint8_t out[16]) const;
 
+  // The "equivalent inverse cipher" decryption schedule (FIPS 197 section
+  // 5.3.5) in byte order, 16 * (rounds() + 1) bytes: round keys reversed,
+  // InvMixColumns applied to the middle ones as sixteen GF(2^8) products
+  // per word. The reference for Aes::decryption_schedule(), which builds
+  // the same bytes from the decryption T-tables.
+  void EquivalentInverseSchedule(uint8_t* out) const;
+
   int rounds() const { return rounds_; }
 
  private:

@@ -15,7 +15,7 @@ HashChainPrng::HashChainPrng(const Sha256Digest& seed, uint64_t modulus)
 
 uint64_t HashChainPrng::Next() {
   if (offset_ + 8 > state_.size()) {
-    state_ = Sha256::Hash(state_.data(), state_.size());
+    state_ = Sha256::HashDigest(state_);
     offset_ = 0;
   }
   uint64_t v = 0;

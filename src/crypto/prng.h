@@ -31,7 +31,8 @@ class HashChainPrng {
   HashChainPrng(const Sha256Digest& seed, uint64_t modulus);
 
   // Next candidate block number. Consumes 8 bytes of the current digest at a
-  // time; re-hashes the digest when exhausted ("recursively hashed").
+  // time; re-hashes the digest when exhausted ("recursively hashed"), one
+  // SHA-256 compression per step (Sha256::HashDigest).
   uint64_t Next();
 
  private:

@@ -1,5 +1,13 @@
 #include "crypto/sha256.h"
 
+#include <algorithm>
+#include <atomic>
+
+#if defined(__x86_64__) || defined(__i386__)
+#define STEGFS_SHA_X86 1
+#include <immintrin.h>
+#endif
+
 namespace stegfs {
 namespace crypto {
 
@@ -40,59 +48,170 @@ inline uint32_t SmallSigma1(uint32_t x) {
   return Rotr(x, 17) ^ Rotr(x, 19) ^ (x >> 10);
 }
 
-}  // namespace
+// Initial hash value (FIPS 180-2 section 5.3.2).
+constexpr uint32_t kInit[8] = {0x6a09e667, 0xbb67ae85, 0x3c6ef372,
+                               0xa54ff53a, 0x510e527f, 0x9b05688c,
+                               0x1f83d9ab, 0x5be0cd19};
 
-void Sha256::Reset() {
-  // Initial hash value (FIPS 180-2 section 5.3.2).
-  state_[0] = 0x6a09e667;
-  state_[1] = 0xbb67ae85;
-  state_[2] = 0x3c6ef372;
-  state_[3] = 0xa54ff53a;
-  state_[4] = 0x510e527f;
-  state_[5] = 0x9b05688c;
-  state_[6] = 0x1f83d9ab;
-  state_[7] = 0x5be0cd19;
-  bit_count_ = 0;
-  buffer_len_ = 0;
+// The FIPS 180-2 compression function, once per 64-byte block.
+void CompressScalar(uint32_t state[8], const uint8_t* data, size_t blocks) {
+  for (; blocks > 0; --blocks, data += 64) {
+    uint32_t w[64];
+    for (int t = 0; t < 16; ++t) {
+      w[t] = (static_cast<uint32_t>(data[t * 4]) << 24) |
+             (static_cast<uint32_t>(data[t * 4 + 1]) << 16) |
+             (static_cast<uint32_t>(data[t * 4 + 2]) << 8) |
+             static_cast<uint32_t>(data[t * 4 + 3]);
+    }
+    for (int t = 16; t < 64; ++t) {
+      w[t] = SmallSigma1(w[t - 2]) + w[t - 7] + SmallSigma0(w[t - 15]) +
+             w[t - 16];
+    }
+
+    uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+
+    for (int t = 0; t < 64; ++t) {
+      uint32_t t1 = h + BigSigma1(e) + Ch(e, f, g) + kK[t] + w[t];
+      uint32_t t2 = BigSigma0(a) + Maj(a, b, c);
+      h = g;
+      g = f;
+      f = e;
+      e = d + t1;
+      d = c;
+      c = b;
+      b = a;
+      a = t1 + t2;
+    }
+
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
 }
 
-void Sha256::ProcessBlock(const uint8_t block[64]) {
-  uint32_t w[64];
-  for (int t = 0; t < 16; ++t) {
-    w[t] = (static_cast<uint32_t>(block[t * 4]) << 24) |
-           (static_cast<uint32_t>(block[t * 4 + 1]) << 16) |
-           (static_cast<uint32_t>(block[t * 4 + 2]) << 8) |
-           static_cast<uint32_t>(block[t * 4 + 3]);
-  }
-  for (int t = 16; t < 64; ++t) {
-    w[t] = SmallSigma1(w[t - 2]) + w[t - 7] + SmallSigma0(w[t - 15]) +
-           w[t - 16];
+#if STEGFS_SHA_X86
+
+// Per-function target attribute, as in aes_ni.cc: the library stays
+// runnable on CPUs without the SHA extensions (Compress never calls in
+// here unless ShaNiSupported() is true).
+#define STEGFS_SHA_NI __attribute__((target("sha,sse4.1")))
+
+bool ShaNiSupported() {
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+}
+
+// The same compression with SHA256RNDS2 (two rounds per instruction) and
+// SHA256MSG1/MSG2 for the message schedule. The instructions keep the
+// working variables as two halves, ABEF and CDGH, instead of A..H.
+STEGFS_SHA_NI void CompressShaNi(uint32_t state[8], const uint8_t* data,
+                                 size_t blocks) {
+  // Message words are big-endian.
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bULL, 0x0405060700010203ULL);
+  const __m128i* k = reinterpret_cast<const __m128i*>(kK);
+
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    const __m128i* in = reinterpret_cast<const __m128i*>(data);
+    // m0..m3 hold the next sixteen schedule words W[4i..4i+15].
+    __m128i m0 = _mm_shuffle_epi8(_mm_loadu_si128(in + 0), bswap);
+    __m128i m1 = _mm_shuffle_epi8(_mm_loadu_si128(in + 1), bswap);
+    __m128i m2 = _mm_shuffle_epi8(_mm_loadu_si128(in + 2), bswap);
+    __m128i m3 = _mm_shuffle_epi8(_mm_loadu_si128(in + 3), bswap);
+    for (int i = 0; i < 16; ++i) {
+      const __m128i wk = _mm_add_epi32(m0, _mm_loadu_si128(k + i));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+      // W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) + W[t-16]: MSG1 adds the
+      // s0 terms, the byte shift supplies W[t-7], MSG2 adds s1.
+      const __m128i next = _mm_sha256msg2_epu32(
+          _mm_add_epi32(_mm_sha256msg1_epu32(m0, m1),
+                        _mm_alignr_epi8(m3, m2, 4)),
+          m3);
+      m0 = m1;
+      m1 = m2;
+      m2 = m3;
+      m3 = next;
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
   }
 
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
 
-  for (int t = 0; t < 64; ++t) {
-    uint32_t t1 = h + BigSigma1(e) + Ch(e, f, g) + kK[t] + w[t];
-    uint32_t t2 = BigSigma0(a) + Maj(a, b, c);
-    h = g;
-    g = f;
-    f = e;
-    e = d + t1;
-    d = c;
-    c = b;
-    b = a;
-    a = t1 + t2;
+#else  // !STEGFS_SHA_X86: the tier is never selected.
+
+bool ShaNiSupported() { return false; }
+void CompressShaNi(uint32_t state[8], const uint8_t* data, size_t blocks) {
+  CompressScalar(state, data, blocks);
+}
+
+#endif  // STEGFS_SHA_X86
+
+std::atomic<ShaTier>& TierSlot() {
+  static std::atomic<ShaTier> tier{ShaNiSupported() ? ShaTier::kShaNi
+                                                    : ShaTier::kScalar};
+  return tier;
+}
+
+inline void Compress(uint32_t state[8], const uint8_t* data, size_t blocks) {
+  if (ActiveShaTier() == ShaTier::kShaNi) {
+    CompressShaNi(state, data, blocks);
+  } else {
+    CompressScalar(state, data, blocks);
   }
+}
 
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+Sha256Digest Serialize(const uint32_t state[8]) {
+  Sha256Digest out;
+  for (int i = 0; i < 8; ++i) {
+    out[i * 4] = static_cast<uint8_t>(state[i] >> 24);
+    out[i * 4 + 1] = static_cast<uint8_t>(state[i] >> 16);
+    out[i * 4 + 2] = static_cast<uint8_t>(state[i] >> 8);
+    out[i * 4 + 3] = static_cast<uint8_t>(state[i]);
+  }
+  return out;
+}
+
+}  // namespace
+
+ShaTier ActiveShaTier() { return TierSlot().load(std::memory_order_relaxed); }
+
+const char* ShaTierName() {
+  return ActiveShaTier() == ShaTier::kShaNi ? "sha-ni" : "sha-scalar";
+}
+
+bool SetShaTier(ShaTier tier) {
+  if (tier == ShaTier::kShaNi && !ShaNiSupported()) return false;
+  TierSlot().store(tier, std::memory_order_relaxed);
+  return true;
+}
+
+void Sha256::Reset() {
+  std::memcpy(state_, kInit, sizeof(state_));
+  bit_count_ = 0;
+  buffer_len_ = 0;
 }
 
 void Sha256::Update(const void* data, size_t len) {
@@ -100,21 +219,19 @@ void Sha256::Update(const void* data, size_t len) {
   bit_count_ += static_cast<uint64_t>(len) * 8;
 
   if (buffer_len_ > 0) {
-    size_t need = 64 - buffer_len_;
-    size_t take = len < need ? len : need;
+    size_t take = std::min(len, 64 - buffer_len_);
     std::memcpy(buffer_ + buffer_len_, p, take);
     buffer_len_ += take;
     p += take;
     len -= take;
-    if (buffer_len_ == 64) {
-      ProcessBlock(buffer_);
-      buffer_len_ = 0;
-    }
+    if (buffer_len_ < 64) return;
+    Compress(state_, buffer_, 1);
+    buffer_len_ = 0;
   }
-  while (len >= 64) {
-    ProcessBlock(p);
-    p += 64;
-    len -= 64;
+  if (len >= 64) {
+    Compress(state_, p, len / 64);
+    p += len - len % 64;
+    len %= 64;
   }
   if (len > 0) {
     std::memcpy(buffer_, p, len);
@@ -124,24 +241,18 @@ void Sha256::Update(const void* data, size_t len) {
 
 Sha256Digest Sha256::Finish() {
   // Pad: 0x80, zeros, then the 64-bit big-endian bit count.
-  uint64_t bits = bit_count_;
-  uint8_t pad[72];
-  size_t pad_len = (buffer_len_ < 56) ? (56 - buffer_len_) : (120 - buffer_len_);
-  pad[0] = 0x80;
-  std::memset(pad + 1, 0, pad_len - 1);
-  for (int i = 0; i < 8; ++i) {
-    pad[pad_len + i] = static_cast<uint8_t>(bits >> (56 - 8 * i));
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_ + buffer_len_, 0, 64 - buffer_len_);
+    Compress(state_, buffer_, 1);
+    buffer_len_ = 0;
   }
-  Update(pad, pad_len + 8);
-
-  Sha256Digest out;
+  std::memset(buffer_ + buffer_len_, 0, 56 - buffer_len_);
   for (int i = 0; i < 8; ++i) {
-    out[i * 4] = static_cast<uint8_t>(state_[i] >> 24);
-    out[i * 4 + 1] = static_cast<uint8_t>(state_[i] >> 16);
-    out[i * 4 + 2] = static_cast<uint8_t>(state_[i] >> 8);
-    out[i * 4 + 3] = static_cast<uint8_t>(state_[i]);
+    buffer_[56 + i] = static_cast<uint8_t>(bit_count_ >> (56 - 8 * i));
   }
-  return out;
+  Compress(state_, buffer_, 1);
+  return Serialize(state_);
 }
 
 Sha256Digest Sha256::Hash(const void* data, size_t len) {
@@ -155,6 +266,18 @@ Sha256Digest Sha256::Hash2(const std::string& a, const std::string& b) {
   h.Update(a);
   h.Update(b);
   return h.Finish();
+}
+
+Sha256Digest Sha256::HashDigest(const Sha256Digest& d) {
+  // d || 0x80 || zeros || bit length 256 (big-endian 0x0100).
+  uint8_t block[64] = {};
+  std::memcpy(block, d.data(), d.size());
+  block[32] = 0x80;
+  block[62] = 0x01;
+  uint32_t state[8];
+  std::memcpy(state, kInit, sizeof(state));
+  Compress(state, block, 1);
+  return Serialize(state);
 }
 
 }  // namespace crypto

@@ -92,12 +92,17 @@ Status BlockMapper::MapRange(const Inode& inode, uint64_t first, size_t count,
 StatusOr<uint64_t> BlockMapper::MapOrAllocate(Inode* inode, uint64_t idx,
                                               BlockStore* store,
                                               BlockAllocator* alloc,
-                                              bool* inode_dirty) {
+                                              bool* inode_dirty,
+                                              bool* allocated) {
+  bool fresh_data = false;
+  if (allocated == nullptr) allocated = &fresh_data;
+  *allocated = false;
   if (idx < kDirectPointers) {
     if (inode->direct[idx] == kNullBlock) {
       STEGFS_ASSIGN_OR_RETURN(uint64_t b, alloc->AllocateBlock());
       inode->direct[idx] = static_cast<uint32_t>(b);
       *inode_dirty = true;
+      *allocated = true;
     }
     return static_cast<uint64_t>(inode->direct[idx]);
   }
@@ -115,6 +120,7 @@ StatusOr<uint64_t> BlockMapper::MapOrAllocate(Inode* inode, uint64_t idx,
     if (ptrs[rel] == kNullBlock) {
       STEGFS_ASSIGN_OR_RETURN(uint64_t b, alloc->AllocateBlock());
       ptrs[rel] = static_cast<uint32_t>(b);
+      *allocated = true;
       STEGFS_RETURN_IF_ERROR(
           WritePointerBlock(store, inode->single_indirect, ptrs));
     }
@@ -146,6 +152,7 @@ StatusOr<uint64_t> BlockMapper::MapOrAllocate(Inode* inode, uint64_t idx,
   if (l2[inner] == kNullBlock) {
     STEGFS_ASSIGN_OR_RETURN(uint64_t b, alloc->AllocateBlock());
     l2[inner] = static_cast<uint32_t>(b);
+    *allocated = true;
     STEGFS_RETURN_IF_ERROR(WritePointerBlock(store, l1[outer], l2));
   }
   return static_cast<uint64_t>(l2[inner]);

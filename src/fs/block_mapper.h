@@ -39,10 +39,12 @@ class BlockMapper {
                   BlockStore* store, uint64_t* out);
 
   // Like Map but allocates missing data/indirect blocks. Sets *inode_dirty
-  // when the inode's pointer fields changed.
+  // when the inode's pointer fields changed, and *allocated (when given)
+  // to whether the data block itself was allocated by this call.
   StatusOr<uint64_t> MapOrAllocate(Inode* inode, uint64_t idx,
                                    BlockStore* store, BlockAllocator* alloc,
-                                   bool* inode_dirty);
+                                   bool* inode_dirty,
+                                   bool* allocated = nullptr);
 
   // Repoints file block `idx` at `new_block` WITHOUT freeing the block it
   // previously mapped to — the self-healing path: the old block may have

@@ -156,13 +156,21 @@ Status FileIo::Write(Inode* inode, uint64_t offset, std::string_view data,
     uint32_t in_block = static_cast<uint32_t>(pos % block_size_);
     uint32_t take = static_cast<uint32_t>(std::min<uint64_t>(
         data.size() - written, block_size_ - in_block));
+    bool fresh = false;
     STEGFS_ASSIGN_OR_RETURN(
         uint64_t device_block,
         mapper_.MapOrAllocate(inode, block_idx, &coalesced, alloc,
-                              inode_dirty));
+                              inode_dirty, &fresh));
     if (take < block_size_) {
-      // Partial block: read-modify-write (block may hold older data).
-      STEGFS_RETURN_IF_ERROR(coalesced.ReadBlock(device_block, buf.data()));
+      if (fresh) {
+        // A block allocated just now holds its last owner's bytes (or, on
+        // a hidden file, random fill): nothing of it is file content.
+        std::fill(buf.begin(), buf.end(), 0);
+      } else {
+        // Partial block: read-modify-write (block may hold older data).
+        STEGFS_RETURN_IF_ERROR(coalesced.ReadBlock(device_block, buf.data()));
+        ZeroPastEof(inode->size, block_idx, buf.data());
+      }
     }
     std::memcpy(buf.data() + in_block, data.data() + written, take);
     STEGFS_RETURN_IF_ERROR(coalesced.WriteBlock(device_block, buf.data()));
@@ -202,11 +210,37 @@ Status FileIo::Truncate(Inode* inode, uint64_t new_size, BlockStore* store,
   inode->size = new_size;
   inode->mtime++;
   *inode_dirty = true;
+  RedundancyIoCtx ctx{inode, store, alloc, &mapper_, inode_dirty};
   if (redundancy_ != nullptr) {
-    RedundancyIoCtx ctx{inode, store, alloc, &mapper_, inode_dirty};
     STEGFS_RETURN_IF_ERROR(redundancy_->OnTruncate(ctx, first_kept));
   }
+  if (new_size % block_size_ == 0) return Status::OK();
+
+  // Zero the cut-off tail of the last kept block, so a later grow reads
+  // zeros there rather than the bytes the truncate dropped.
+  const uint64_t last = new_size / block_size_;
+  auto mapped = mapper_.Map(*inode, last, store);
+  if (!mapped.ok()) {
+    return mapped.status().IsNotFound() ? Status::OK() : mapped.status();
+  }
+  std::vector<uint8_t> buf(block_size_);
+  STEGFS_RETURN_IF_ERROR(store->ReadBlock(*mapped, buf.data()));
+  ZeroPastEof(new_size, last, buf.data());
+  STEGFS_RETURN_IF_ERROR(store->WriteBlock(*mapped, buf.data()));
+  // After OnTruncate, so the stripe record the re-encode verifies the
+  // block's siblings against is already the truncated one.
+  if (redundancy_ != nullptr) {
+    STEGFS_RETURN_IF_ERROR(redundancy_->OnExtentWrite(ctx, last, last));
+  }
   return Status::OK();
+}
+
+void FileIo::ZeroPastEof(uint64_t size, uint64_t block_idx,
+                         uint8_t* block) const {
+  const uint64_t start = block_idx * block_size_;
+  if (size >= start + block_size_) return;
+  const uint64_t keep = size > start ? size - start : 0;
+  std::memset(block + keep, 0, block_size_ - keep);
 }
 
 }  // namespace stegfs

@@ -99,12 +99,16 @@ class FileIo {
                       bool* inode_dirty, std::string* out);
 
   // Writes `data` at `offset`, allocating blocks and growing inode->size as
-  // needed. Partial first/last blocks are read-modify-written.
+  // needed. Partial first/last blocks are read-modify-written, except a
+  // block allocated by this write, which starts from zeros. Bytes of a
+  // block past EOF are always zero on the store, so a gap the write opens
+  // reads back as zeros.
   Status Write(Inode* inode, uint64_t offset, std::string_view data,
                BlockStore* store, BlockAllocator* alloc, bool* inode_dirty);
 
-  // Shrinks the file, freeing blocks past the new end. Growing sets the
-  // size without allocating blocks (the gap reads as zeros).
+  // Shrinks the file, freeing blocks past the new end and zeroing the cut
+  // tail of the last kept block. Growing sets the size without allocating
+  // blocks (the gap reads as zeros).
   Status Truncate(Inode* inode, uint64_t new_size, BlockStore* store,
                   BlockAllocator* alloc, bool* inode_dirty);
 
@@ -120,6 +124,10 @@ class FileIo {
   Status ReadImpl(Inode* inode, uint64_t offset, uint64_t n,
                   BlockStore* store, BlockAllocator* alloc, bool* inode_dirty,
                   std::string* out);
+
+  // Zeroes the bytes of file block `block_idx` (its contents in `block`)
+  // that lie at or past byte `size` of the file.
+  void ZeroPastEof(uint64_t size, uint64_t block_idx, uint8_t* block) const;
 
   // Hints the prefetcher at the next `readahead_` mapped file blocks
   // following `next_idx`.

@@ -173,6 +173,11 @@ TEST_F(CapiTest, StatsReportBatchedDataPath) {
   EXPECT_TRUE(std::string(s.crypto_tier) == "aes-ni" ||
               std::string(s.crypto_tier) == "t-table")
       << s.crypto_tier;
+  // So is the SHA-256 tier's.
+  ASSERT_NE(s.sha_tier, nullptr);
+  EXPECT_TRUE(std::string(s.sha_tier) == "sha-ni" ||
+              std::string(s.sha_tier) == "sha-scalar")
+      << s.sha_tier;
 }
 
 TEST_F(CapiTest, StatsReportAsyncEngineAndReadahead) {

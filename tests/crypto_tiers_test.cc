@@ -12,7 +12,9 @@
 //     block numbers, including across tiers (encrypt on one, decrypt on
 //     the other),
 //   - BlockCrypter must match a byte-wise CBC-ESSIV reference built on
-//     AesRef, for every block size, batch shape and signature prefix.
+//     AesRef, for every block size, batch shape and signature prefix,
+//   - the table-built decryption key schedule must match AesRef's
+//     GF(2^8)-product schedule for every key length.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -124,6 +126,28 @@ TEST(CryptoTiersTest, TiersMatchByteWiseReferenceOnRandomData) {
         aes.DecryptBlock(want_ct, got);
         EXPECT_EQ(std::memcmp(got, pt, 16), 0);
       }
+    }
+  }
+}
+
+TEST(CryptoTiersTest, DecryptionScheduleMatchesGfMulReference) {
+  // Aes builds the equivalent-inverse schedule from the decryption
+  // T-tables; AesRef computes it with GF(2^8) products, byte by byte. One
+  // schedule serves both tiers, so this holds whatever tier is active.
+  Xoshiro rng(0x5c4ed);
+  for (size_t key_len : {16u, 24u, 32u}) {
+    for (int i = 0; i < 32; ++i) {
+      std::vector<uint8_t> key(key_len);
+      rng.FillBytes(key.data(), key.size());
+      Aes aes(key.data(), key.size());
+      AesRef ref(key.data(), key.size());
+      ASSERT_EQ(aes.rounds(), ref.rounds());
+      const size_t bytes = 16 * static_cast<size_t>(ref.rounds() + 1);
+      std::vector<uint8_t> want(bytes);
+      ref.EquivalentInverseSchedule(want.data());
+      EXPECT_EQ(HexEncode(aes.decryption_schedule(), bytes),
+                HexEncode(want.data(), bytes))
+          << "key length " << key_len;
     }
   }
 }

@@ -121,6 +121,39 @@ TEST_F(FileIoTest, MtimeAdvancesOnMutation) {
   EXPECT_GT(inode_.mtime, t1);
 }
 
+// Bytes between the end of a write and a later write past EOF read back
+// as zeros even when the blocks were reused: a freed block keeps its old
+// bytes on the device, and a fresh block must not leak them.
+TEST_F(FileIoTest, GapAfterPartialBlockReadsAsZerosOnReusedBlocks) {
+  // Every data block still holds a deleted file's bytes.
+  std::vector<uint8_t> stale(layout_.block_size, 0xee);
+  for (uint64_t b = layout_.data_start; b < layout_.num_blocks; ++b) {
+    ASSERT_TRUE(dev_.WriteBlock(b, stale.data()).ok());
+  }
+  ASSERT_TRUE(io_.Write(&inode_, 0, std::string(3000, 'a'), &store_, &alloc_,
+                        &dirty_)
+                  .ok());
+  ASSERT_TRUE(io_.Write(&inode_, 8001, "z", &store_, &alloc_, &dirty_).ok());
+  std::string out = ReadAll();
+  ASSERT_EQ(out.size(), 8002u);
+  EXPECT_EQ(out.substr(0, 3000), std::string(3000, 'a'));
+  EXPECT_EQ(out.substr(3000, 5001), std::string(5001, '\0'));
+  EXPECT_EQ(out.substr(8001), "z");
+}
+
+TEST_F(FileIoTest, TruncateZeroesTailOfLastKeptBlock) {
+  ASSERT_TRUE(io_.Write(&inode_, 0, std::string(3000, 'a'), &store_, &alloc_,
+                        &dirty_)
+                  .ok());
+  ASSERT_TRUE(io_.Truncate(&inode_, 1000, &store_, &alloc_, &dirty_).ok());
+  ASSERT_TRUE(io_.Write(&inode_, 5000, "z", &store_, &alloc_, &dirty_).ok());
+  std::string out = ReadAll();
+  ASSERT_EQ(out.size(), 5001u);
+  EXPECT_EQ(out.substr(0, 1000), std::string(1000, 'a'));
+  EXPECT_EQ(out.substr(1000, 4000), std::string(4000, '\0'));
+  EXPECT_EQ(out.substr(5000), "z");
+}
+
 // Hidden-file mapping resolution: an encrypted store, randomly placed
 // blocks and 512-byte blocks (128 pointers per block), so file blocks 0-9
 // are direct, 10-137 single-indirect and 138+ double-indirect, with one L2
@@ -218,9 +251,7 @@ class HiddenMappingTest : public ::testing::Test {
 
 TEST_F(HiddenMappingTest, SparseFileReadsBackAtOddOffsets) {
   Xoshiro rng(0x0dd5);
-  // Block-aligned extents around the holes: a partial write into a fresh
-  // block keeps what the block held, so a hole must start and end on a
-  // block boundary to read as zeros.
+  // Block-aligned extents around whole-block holes, then odd-sized writes.
   Put(0, 6 * kBs, &rng);                       // direct 0-5
   Put(16 * kBs, 60 * kBs, &rng);               // direct + single 16-75
   Put(140 * kBs, 140 * kBs, &rng);             // L2 #0 and #1: 140-279
@@ -244,6 +275,31 @@ TEST_F(HiddenMappingTest, SparseFileReadsBackAtOddOffsets) {
     ASSERT_TRUE(got == expect_.substr(off, len))
         << "off " << off << " len " << len;
   }
+}
+
+// On a hidden file a fresh block holds random fill, which decrypts to
+// noise: the gap a write past EOF opens must still read as zeros.
+TEST_F(HiddenMappingTest, GapAfterPartialBlockReadsAsZeros) {
+  Xoshiro rng(0x9a9);
+  Put(0, 3000, &rng);
+  Put(8001, 1, &rng);
+  ASSERT_EQ(expect_.size(), inode_.size);
+  std::string all;
+  ASSERT_TRUE(io_.Read(inode_, 0, inode_.size, &store_, &all).ok());
+  EXPECT_EQ(all.substr(3000, 5001), std::string(5001, '\0'));
+  EXPECT_TRUE(all == expect_);
+}
+
+TEST_F(HiddenMappingTest, TruncateZeroesTailOfLastKeptBlock) {
+  Xoshiro rng(0x7c);
+  Put(0, 3000, &rng);
+  ASSERT_TRUE(io_.Truncate(&inode_, 1000, &store_, &alloc_, &dirty_).ok());
+  expect_.resize(1000);
+  Put(5000, 1, &rng);
+  std::string all;
+  ASSERT_TRUE(io_.Read(inode_, 0, inode_.size, &store_, &all).ok());
+  EXPECT_EQ(all.substr(1000, 4000), std::string(4000, '\0'));
+  EXPECT_TRUE(all == expect_);
 }
 
 TEST_F(HiddenMappingTest, ChunkReadDecryptsDataPlusEachPointerBlockOnce) {
