@@ -63,39 +63,41 @@ static void BM_AesEcbBatch_AesNi(benchmark::State& state) {
 }
 BENCHMARK(BM_AesEcbBatch_AesNi);
 
-// The batched block path: 16 device blocks per call, the shape
-// EncryptedBlockStore issues for a whole extent.
-static void BM_BlockCrypterEncryptBatch16(benchmark::State& state) {
+// The batched block path: n 4 KiB device blocks per call, n = 1 (one
+// chain, the latency floor), 2 (an 8 KiB hidden write), 8 (one full
+// eight-lane group) and 64/256 (EncryptedBlockStore sub-batches and
+// whole extents). Encrypt and decrypt side by side, so their per-block
+// costs can be read off the same table.
+static void BlockCrypterBatch(benchmark::State& state, bool encrypt) {
   crypto::BlockCrypter crypter("bench-key");
-  const size_t kBlock = 4096, kN = 16;
-  std::vector<uint8_t> data(kBlock * kN);
-  std::vector<crypto::CryptSpan> spans(kN);
-  for (size_t i = 0; i < kN; ++i) {
+  const size_t kBlock = 4096;
+  const size_t n = static_cast<size_t>(state.range(0));
+  std::vector<uint8_t> data(kBlock * n);
+  std::vector<crypto::CryptSpan> spans(n);
+  for (size_t i = 0; i < n; ++i) {
     spans[i] = {1000 + i * 7, data.data() + i * kBlock};
   }
   for (auto _ : state) {
-    crypter.EncryptBlocks(spans.data(), kN, kBlock);
+    if (encrypt) {
+      crypter.EncryptBlocks(spans.data(), n, kBlock);
+    } else {
+      crypter.DecryptBlocks(spans.data(), n, kBlock);
+    }
     benchmark::DoNotOptimize(data.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(state.iterations() * data.size());
 }
-BENCHMARK(BM_BlockCrypterEncryptBatch16);
-
-static void BM_BlockCrypterDecryptBatch16(benchmark::State& state) {
-  crypto::BlockCrypter crypter("bench-key");
-  const size_t kBlock = 4096, kN = 16;
-  std::vector<uint8_t> data(kBlock * kN);
-  std::vector<crypto::CryptSpan> spans(kN);
-  for (size_t i = 0; i < kN; ++i) {
-    spans[i] = {1000 + i * 7, data.data() + i * kBlock};
-  }
-  for (auto _ : state) {
-    crypter.DecryptBlocks(spans.data(), kN, kBlock);
-    benchmark::DoNotOptimize(data.data());
-  }
-  state.SetBytesProcessed(state.iterations() * data.size());
+static void BM_BlockCrypterEncryptBatch(benchmark::State& state) {
+  BlockCrypterBatch(state, true);
 }
-BENCHMARK(BM_BlockCrypterDecryptBatch16);
+BENCHMARK(BM_BlockCrypterEncryptBatch)
+    ->Arg(1)->Arg(2)->Arg(8)->Arg(64)->Arg(256);
+static void BM_BlockCrypterDecryptBatch(benchmark::State& state) {
+  BlockCrypterBatch(state, false);
+}
+BENCHMARK(BM_BlockCrypterDecryptBatch)
+    ->Arg(1)->Arg(2)->Arg(8)->Arg(64)->Arg(256);
 
 static void BM_BlockCrypterEncrypt(benchmark::State& state) {
   crypto::BlockCrypter crypter("bench-key");

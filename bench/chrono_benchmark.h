@@ -5,8 +5,8 @@
 //
 // Supported subset: BENCHMARK(fn)->Arg(x)->Unit(u), State range-for with
 // state.range(0) / state.iterations() / SetBytesProcessed / SkipWithError,
-// DoNotOptimize, BENCHMARK_MAIN. Each benchmark runs for ~0.2 s of wall
-// time and reports ns/op plus MB/s when bytes were recorded.
+// DoNotOptimize, ClobberMemory, BENCHMARK_MAIN. Each benchmark runs for
+// ~0.2 s of wall time and reports ns/op plus MB/s when bytes were recorded.
 #ifndef STEGFS_BENCH_CHRONO_BENCHMARK_H_
 #define STEGFS_BENCH_CHRONO_BENCHMARK_H_
 
@@ -25,6 +25,8 @@ template <typename T>
 inline void DoNotOptimize(T&& value) {
   asm volatile("" : : "g"(value) : "memory");
 }
+
+inline void ClobberMemory() { asm volatile("" : : : "memory"); }
 
 class State {
  public:

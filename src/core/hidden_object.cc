@@ -247,6 +247,7 @@ Status HiddenObject::TopUpPoolLocked() {
     header_.free_pool.push_back(static_cast<uint32_t>(b));
     unscrubbed_.insert(static_cast<uint32_t>(b));
     header_dirty_ = true;
+    if (vol_.pool_stats != nullptr) vol_.pool_stats->topup_blocks.Add(1);
   }
   return Status::OK();
 }
@@ -275,6 +276,7 @@ Status HiddenObject::ReleaseExcessLocked() {
       STEGFS_RETURN_IF_ERROR(vol_.bitmap->Free(b));
     }
     header_dirty_ = true;
+    if (vol_.pool_stats != nullptr) vol_.pool_stats->release_blocks.Add(1);
   }
   return Status::OK();
 }

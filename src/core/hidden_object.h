@@ -37,11 +37,30 @@
 #include "fs/block_store.h"
 #include "fs/file_io.h"
 #include "fs/layout.h"
+#include "obs/metrics.h"
 #include "util/random.h"
 #include "util/status.h"
 #include "util/statusor.h"
 
 namespace stegfs {
+
+// Volume-wide free-pool instruments; StegFs registers them in the mount's
+// registry. Together they show the bitmap traffic the pools cause: blocks
+// drawn at random from the bitmap to refill a pool, and blocks a pool
+// hands back once it holds more than free_pool_max.
+struct FreePoolStats {
+  obs::Counter topup_blocks;    // drawn from the bitmap by TopUpPoolLocked
+  obs::Counter release_blocks;  // released by ReleaseExcessLocked
+
+  void RegisterWith(obs::MetricsRegistry* reg) const {
+    reg->RegisterCounter("stegfs_free_pool_topup_blocks_total",
+                         "Blocks drawn from the bitmap into free pools",
+                         &topup_blocks);
+    reg->RegisterCounter("stegfs_free_pool_release_blocks_total",
+                         "Blocks free pools released past free_pool_max",
+                         &release_blocks);
+  }
+};
 
 // Shared volume context handed to hidden objects by the StegFs facade. All
 // pointers are non-owning and must outlive the object.
@@ -80,6 +99,8 @@ struct HiddenVolume {
   RedundancyStats* red_stats = nullptr;
   // Volume-wide locator probe counters (may stay null, like red_stats).
   LocatorStats* locator_stats = nullptr;
+  // Volume-wide free-pool counters (may stay null, like red_stats).
+  FreePoolStats* pool_stats = nullptr;
 };
 
 // Threading contract: one HiddenObject instance is used by one thread at a

@@ -56,6 +56,7 @@ StegFs::StegFs(BlockDevice* device, std::unique_ptr<PlainFs> plain,
   obs::MetricsRegistry* reg = plain_->metrics_registry();
   red_stats_.RegisterWith(reg);
   locator_stats_.RegisterWith(reg);
+  pool_stats_.RegisterWith(reg);
   reg->RegisterHistogram("stegfs_hidden_read_seconds",
                          "Hidden object read latency", &hidden_read_ns_);
   reg->RegisterHistogram("stegfs_hidden_write_seconds",
@@ -83,6 +84,7 @@ HiddenVolume StegFs::VolumeCtx() {
   vol.barrier = plain_->commit_barrier();
   vol.red_stats = &red_stats_;
   vol.locator_stats = &locator_stats_;
+  vol.pool_stats = &pool_stats_;
   return vol;
 }
 

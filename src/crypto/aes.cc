@@ -259,12 +259,23 @@ void Aes::DecryptCbc(const uint8_t iv[16], const uint8_t* in, uint8_t* out,
   }
 }
 
-void Aes::Encrypt4(const uint8_t* const in[4], uint8_t* const out[4]) const {
+void Aes::EncryptCbcLanes(const uint8_t* ivs, const uint8_t* const* in,
+                          uint8_t* const* out, size_t lanes,
+                          size_t cells) const {
+  assert(lanes >= 1 && lanes <= kMaxLanes);
   if (ActiveAesTier() == AesTier::kAesNi) {
-    aesni::Encrypt4(enc_ks_, rounds_, in, out);
+    aesni::EncryptCbcLanes(enc_ks_, rounds_, ivs, in, out, lanes, cells);
     return;
   }
-  for (int i = 0; i < 4; ++i) EncryptBlockTable(in[i], out[i]);
+  for (size_t l = 0; l < lanes; ++l) {
+    const uint8_t* chain = ivs + 16 * l;
+    for (size_t c = 0; c < cells; ++c) {
+      uint8_t cell[16];
+      for (int i = 0; i < 16; ++i) cell[i] = in[l][16 * c + i] ^ chain[i];
+      EncryptBlockTable(cell, out[l] + 16 * c);
+      chain = out[l] + 16 * c;
+    }
+  }
 }
 
 void Aes::EncryptBlockTable(const uint8_t in[16], uint8_t out[16]) const {

@@ -7,7 +7,8 @@
 // Two dispatch tiers, selected once at process start and overridable for
 // tests/benchmarks:
 //   kAesNi - hardware AES round instructions (runtime cpuid detection),
-//            pipelined four blocks at a time in the batch entry points
+//            with several independent blocks in flight in the batch
+//            entry points
 //   kTable - the classic fused T-table software implementation
 // A third, byte-wise FIPS-197 transcription lives in aes_ref.h as the
 // verification reference; it is never dispatched to.
@@ -60,10 +61,15 @@ class Aes {
   void DecryptCbc(const uint8_t iv[16], const uint8_t* in, uint8_t* out,
                   size_t n) const;
 
-  // Four independent 16-byte blocks at unrelated addresses — the lane
-  // primitive BlockCrypter uses to interleave four CBC chains (one per
-  // device block) through the hardware pipeline. in[i]/out[i] may alias.
-  void Encrypt4(const uint8_t* const in[4], uint8_t* const out[4]) const;
+  // CBC encryption of `lanes` (1..kMaxLanes) independent chains of `cells`
+  // 16-byte cells each: lane l encrypts in[l] into out[l], chained from
+  // ivs + 16 * l. The AES-NI tier runs all lanes through one fused pass
+  // (BlockCrypter gives it one device block per lane); the table tier
+  // encrypts lane by lane, cell by cell. Per lane, in and out must be the
+  // same buffer or not overlap at all.
+  static constexpr size_t kMaxLanes = 8;
+  void EncryptCbcLanes(const uint8_t* ivs, const uint8_t* const* in,
+                       uint8_t* const* out, size_t lanes, size_t cells) const;
 
   int rounds() const { return rounds_; }
   // The decryption ("equivalent inverse cipher") schedule in FIPS-197 byte

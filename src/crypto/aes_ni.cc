@@ -68,34 +68,60 @@ STEGFS_AESNI void EncryptEcb(const uint8_t* enc_ks, int rounds,
   for (; i < n; ++i) Encrypt1(enc_ks, rounds, in + 16 * i, out + 16 * i);
 }
 
-STEGFS_AESNI void Encrypt4(const uint8_t* enc_ks, int rounds,
-                           const uint8_t* const in[4],
-                           uint8_t* const out[4]) {
-  __m128i k = Key(enc_ks, 0);
-  __m128i s0 = _mm_xor_si128(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(in[0])), k);
-  __m128i s1 = _mm_xor_si128(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(in[1])), k);
-  __m128i s2 = _mm_xor_si128(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(in[2])), k);
-  __m128i s3 = _mm_xor_si128(
-      _mm_loadu_si128(reinterpret_cast<const __m128i*>(in[3])), k);
-  for (int r = 1; r < rounds; ++r) {
-    k = Key(enc_ks, r);
-    s0 = _mm_aesenc_si128(s0, k);
-    s1 = _mm_aesenc_si128(s1, k);
-    s2 = _mm_aesenc_si128(s2, k);
-    s3 = _mm_aesenc_si128(s3, k);
+namespace {
+
+template <int L>
+STEGFS_AESNI void EncryptCbcLanesN(const uint8_t* enc_ks, int rounds,
+                                   const uint8_t* ivs,
+                                   const uint8_t* const* in,
+                                   uint8_t* const* out, size_t cells) {
+  __m128i k[15];
+  for (int r = 0; r <= rounds; ++r) k[r] = Key(enc_ks, r);
+  const __m128i* src[L];
+  __m128i* dst[L];
+  __m128i chain[L];
+#pragma GCC unroll 8
+  for (int l = 0; l < L; ++l) {
+    src[l] = reinterpret_cast<const __m128i*>(in[l]);
+    dst[l] = reinterpret_cast<__m128i*>(out[l]);
+    chain[l] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(ivs) + l);
   }
-  k = Key(enc_ks, rounds);
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out[0]),
-                   _mm_aesenclast_si128(s0, k));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out[1]),
-                   _mm_aesenclast_si128(s1, k));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out[2]),
-                   _mm_aesenclast_si128(s2, k));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out[3]),
-                   _mm_aesenclast_si128(s3, k));
+  for (size_t c = 0; c < cells; ++c) {
+    __m128i s[L];
+    // The plaintext-and-key XOR does not depend on the chain, so only one
+    // XOR sits between a lane's previous ciphertext and its next round.
+#pragma GCC unroll 8
+    for (int l = 0; l < L; ++l) {
+      s[l] = _mm_xor_si128(
+          _mm_xor_si128(_mm_loadu_si128(src[l] + c), k[0]), chain[l]);
+    }
+    for (int r = 1; r < rounds; ++r) {
+#pragma GCC unroll 8
+      for (int l = 0; l < L; ++l) s[l] = _mm_aesenc_si128(s[l], k[r]);
+    }
+#pragma GCC unroll 8
+    for (int l = 0; l < L; ++l) {
+      chain[l] = _mm_aesenclast_si128(s[l], k[rounds]);
+      _mm_storeu_si128(dst[l] + c, chain[l]);
+    }
+  }
+}
+
+}  // namespace
+
+void EncryptCbcLanes(const uint8_t* enc_ks, int rounds, const uint8_t* ivs,
+                     const uint8_t* const* in, uint8_t* const* out,
+                     size_t lanes, size_t cells) {
+  switch (lanes) {
+    case 1: return EncryptCbcLanesN<1>(enc_ks, rounds, ivs, in, out, cells);
+    case 2: return EncryptCbcLanesN<2>(enc_ks, rounds, ivs, in, out, cells);
+    case 3: return EncryptCbcLanesN<3>(enc_ks, rounds, ivs, in, out, cells);
+    case 4: return EncryptCbcLanesN<4>(enc_ks, rounds, ivs, in, out, cells);
+    case 5: return EncryptCbcLanesN<5>(enc_ks, rounds, ivs, in, out, cells);
+    case 6: return EncryptCbcLanesN<6>(enc_ks, rounds, ivs, in, out, cells);
+    case 7: return EncryptCbcLanesN<7>(enc_ks, rounds, ivs, in, out, cells);
+    case 8: return EncryptCbcLanesN<8>(enc_ks, rounds, ivs, in, out, cells);
+  }
 }
 
 STEGFS_AESNI void DecryptCbc(const uint8_t* dec_ks, int rounds,
@@ -164,7 +190,8 @@ void Decrypt1(const uint8_t*, int, const uint8_t*, uint8_t*) { std::abort(); }
 void EncryptEcb(const uint8_t*, int, const uint8_t*, uint8_t*, size_t) {
   std::abort();
 }
-void Encrypt4(const uint8_t*, int, const uint8_t* const*, uint8_t* const*) {
+void EncryptCbcLanes(const uint8_t*, int, const uint8_t*, const uint8_t* const*,
+                     uint8_t* const*, size_t, size_t) {
   std::abort();
 }
 void DecryptCbc(const uint8_t*, int, const uint8_t*, const uint8_t*, uint8_t*,

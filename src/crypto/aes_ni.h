@@ -34,10 +34,15 @@ void Decrypt1(const uint8_t* dec_ks, int rounds, const uint8_t in[16],
 void EncryptEcb(const uint8_t* enc_ks, int rounds, const uint8_t* in,
                 uint8_t* out, size_t n);
 
-// Four independent blocks at unrelated addresses (CBC lane interleaving
-// across device blocks). in[i] and out[i] may alias per lane.
-void Encrypt4(const uint8_t* enc_ks, int rounds, const uint8_t* const in[4],
-              uint8_t* const out[4]);
+// CBC encryption of `lanes` (1..8) independent chains of `cells` 16-byte
+// cells each, in one fused pass: lane l reads in[l], writes out[l] and
+// chains from ivs + 16 * l. The chains advance in lock step, so the lanes
+// keep the AES pipeline full although each chain is sequential. The round
+// keys are loaded once per call and every chain value stays in a
+// register. Per lane, in and out must be the same buffer or not overlap.
+void EncryptCbcLanes(const uint8_t* enc_ks, int rounds, const uint8_t* ivs,
+                     const uint8_t* const* in, uint8_t* const* out,
+                     size_t lanes, size_t cells);
 
 // CBC decryption of n cells in one fused pass: out[i] = D(in[i]) ^ in[i-1]
 // (the iv for i = 0), eight cells in flight at a time, each group's chain

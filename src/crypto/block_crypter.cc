@@ -41,29 +41,31 @@ void BlockCrypter::ComputeIvs(const CryptSpan* spans, size_t n,
   iv_cipher_->EncryptBlocksEcb(ivs, ivs, n);
 }
 
-void BlockCrypter::EncryptWithIv(const uint8_t iv[16], uint8_t* data,
-                                 size_t size) const {
-  uint8_t chain[16];
-  std::memcpy(chain, iv, 16);
-  for (size_t off = 0; off < size; off += 16) {
-    for (int i = 0; i < 16; ++i) data[off + i] ^= chain[i];
-    data_cipher_->EncryptBlock(data + off, data + off);
-    std::memcpy(chain, data + off, 16);
-  }
-}
-
 void BlockCrypter::EncryptBlock(uint64_t block_number, uint8_t* data,
                                 size_t size) const {
   assert(size % 16 == 0);
   uint8_t iv[16];
   ComputeIv(block_number, iv);
-  EncryptWithIv(iv, data, size);
+  data_cipher_->EncryptCbcLanes(iv, &data, &data, 1, size / 16);
 }
 
 void BlockCrypter::DecryptBlock(uint64_t block_number, uint8_t* data,
                                 size_t size) const {
   CryptSpan span{block_number, data};
   DecryptBlocks(&span, 1, size);
+}
+
+void BlockCrypter::EncryptChains(const CryptSpan* spans,
+                                 const uint8_t* const* in, size_t m,
+                                 size_t size) const {
+  uint8_t ivs[kIvBatch * 16];
+  uint8_t* out[kIvBatch];
+  ComputeIvs(spans, m, ivs);
+  for (size_t s = 0; s < m; ++s) out[s] = spans[s].data;
+  for (size_t g = 0; g < m; g += Aes::kMaxLanes) {
+    data_cipher_->EncryptCbcLanes(&ivs[g * 16], in + g, out + g,
+                                  std::min(Aes::kMaxLanes, m - g), size / 16);
+  }
 }
 
 void BlockCrypter::EncryptBlocks(const CryptSpan* spans, size_t n,
@@ -75,33 +77,31 @@ void BlockCrypter::EncryptBlocks(const CryptSpan* spans, size_t n,
   obs::CryptoMetrics& cm = obs::GlobalCryptoMetrics();
   obs::LatencyTimer timer(&cm.encrypt_ns);
   cm.blocks_encrypted.Add(n);
-  std::vector<uint8_t> ivs(n * 16);
-  ComputeIvs(spans, n, ivs.data());
-
-  // Four device blocks at a time: their CBC chains are independent, so the
-  // four lanes keep the hardware AES pipeline full even though each chain
-  // is sequential internally.
-  size_t s = 0;
-  for (; s + 4 <= n; s += 4) {
-    uint8_t chain[4][16];
-    for (int l = 0; l < 4; ++l) std::memcpy(chain[l], &ivs[(s + l) * 16], 16);
-    for (size_t off = 0; off < size; off += 16) {
-      const uint8_t* in[4];
-      uint8_t* out[4];
-      for (int l = 0; l < 4; ++l) {
-        uint8_t* p = spans[s + l].data + off;
-        for (int i = 0; i < 16; ++i) p[i] ^= chain[l][i];
-        in[l] = p;
-        out[l] = p;
-      }
-      data_cipher_->Encrypt4(in, out);
-      for (int l = 0; l < 4; ++l) {
-        std::memcpy(chain[l], spans[s + l].data + off, 16);
-      }
-    }
+  const uint8_t* in[kIvBatch];
+  for (size_t base = 0; base < n; base += kIvBatch) {
+    const size_t m = std::min(kIvBatch, n - base);
+    for (size_t s = 0; s < m; ++s) in[s] = spans[base + s].data;
+    EncryptChains(spans + base, in, m, size);
   }
-  for (; s < n; ++s) {
-    EncryptWithIv(&ivs[s * 16], spans[s].data, size);
+}
+
+void BlockCrypter::EncryptBlocks(const uint64_t* blocks, size_t n,
+                                 size_t size, const uint8_t* in,
+                                 uint8_t* out) const {
+  assert(size % 16 == 0);
+  if (n == 0) return;
+  obs::CryptoMetrics& cm = obs::GlobalCryptoMetrics();
+  obs::LatencyTimer timer(&cm.encrypt_ns);
+  cm.blocks_encrypted.Add(n);
+  CryptSpan spans[kIvBatch];
+  const uint8_t* src[kIvBatch];
+  for (size_t base = 0; base < n; base += kIvBatch) {
+    const size_t m = std::min(kIvBatch, n - base);
+    for (size_t s = 0; s < m; ++s) {
+      spans[s] = {blocks[base + s], out + (base + s) * size};
+      src[s] = in + (base + s) * size;
+    }
+    EncryptChains(spans, src, m, size);
   }
 }
 

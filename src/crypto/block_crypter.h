@@ -42,14 +42,24 @@ class BlockCrypter {
   void DecryptBlock(uint64_t block_number, uint8_t* data, size_t size) const;
 
   // Batch transforms over n device blocks of `size` bytes each, in place.
-  // The ESSIV IVs are derived in pipelined ECB passes; encryption then
-  // interleaves four device blocks' CBC chains through the AES pipeline
-  // (chains are independent across blocks, sequential only within one),
-  // and decryption runs each block through Aes::DecryptCbc, which needs
-  // neither a ciphertext copy nor a heap allocation. Bitwise-identical to
-  // calling the single-block transforms once per span.
+  // The ESSIV IVs are derived in pipelined ECB passes, kIvBatch spans at a
+  // time into a stack array. Encryption then hands the spans to
+  // Aes::EncryptCbcLanes eight at a time, the last 1-7 as one narrower
+  // group: CBC chains are independent across device blocks and sequential
+  // only within one, so eight chains in lock step keep the AES pipeline
+  // full. Decryption runs each block through Aes::DecryptCbc. Neither
+  // direction copies a block or allocates. Bitwise-identical to calling
+  // the single-block transforms once per span.
   void EncryptBlocks(const CryptSpan* spans, size_t n, size_t size) const;
   void DecryptBlocks(const CryptSpan* spans, size_t n, size_t size) const;
+
+  // Out-of-place batch encryption: n device blocks laid out back to back,
+  // plaintext read from `in`, ciphertext written to `out`; block i is keyed
+  // by blocks[i]. `in` is left untouched, so a write path can encrypt
+  // straight from the caller's buffer into its staging buffer. in and out
+  // must be the same buffer or not overlap at all.
+  void EncryptBlocks(const uint64_t* blocks, size_t n, size_t size,
+                     const uint8_t* in, uint8_t* out) const;
 
   // Decrypts only the first `len` bytes (a multiple of 16, at most the
   // block size) of device block `block_number` from `in` into `out`.
@@ -61,14 +71,15 @@ class BlockCrypter {
                      size_t len) const;
 
  private:
-  // Spans whose IVs DecryptBlocks derives in one ECB pass (a stack array).
+  // Spans whose IVs one ECB pass derives (a stack array).
   static constexpr size_t kIvBatch = 32;
 
   void ComputeIv(uint64_t block_number, uint8_t iv[16]) const;
   // Derives the IVs for n spans into ivs (n * 16 bytes) with one ECB batch.
   void ComputeIvs(const CryptSpan* spans, size_t n, uint8_t* ivs) const;
-  // CBC-encrypts one block whose IV is already derived.
-  void EncryptWithIv(const uint8_t iv[16], uint8_t* data, size_t size) const;
+  // CBC-encrypts m <= kIvBatch blocks: in[i] into spans[i].data.
+  void EncryptChains(const CryptSpan* spans, const uint8_t* const* in,
+                     size_t m, size_t size) const;
 
   std::unique_ptr<Aes> data_cipher_;
   std::unique_ptr<Aes> iv_cipher_;

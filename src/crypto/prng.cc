@@ -1,5 +1,6 @@
 #include "crypto/prng.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -31,22 +32,41 @@ CtrDrbg::CtrDrbg(const std::string& seed) {
   cipher_ = std::make_unique<Aes>(key.data(), key.size());
 }
 
+namespace {
+
+// Counter block i: LE64(i) followed by eight zero bytes.
+void StoreCounter(uint64_t counter, uint8_t* block) {
+  for (int b = 0; b < 8; ++b) {
+    block[b] = static_cast<uint8_t>(counter >> (8 * b));
+  }
+}
+
+}  // namespace
+
 void CtrDrbg::Generate(uint8_t* out, size_t n) {
-  size_t i = 0;
-  while (i < n) {
-    if (buffer_pos_ == 16) {
-      uint8_t ctr_block[16] = {0};
-      for (int b = 0; b < 8; ++b) {
-        ctr_block[b] = static_cast<uint8_t>(counter_ >> (8 * b));
-      }
-      cipher_->EncryptBlock(ctr_block, buffer_);
-      ++counter_;
-      buffer_pos_ = 0;
+  if (n == 0) return;
+  // What the previous call left of its last cell comes first.
+  size_t i = std::min(n, 16 - buffer_pos_);
+  std::memcpy(out, buffer_ + buffer_pos_, i);
+  buffer_pos_ += i;
+  // Whole cells: kCounterBatch counter blocks per ECB pass, encrypted
+  // straight into `out`.
+  if (n - i >= 16) {
+    uint8_t ctr[kCounterBatch * 16] = {0};
+    while (n - i >= 16) {
+      const size_t m = std::min(kCounterBatch, (n - i) / 16);
+      for (size_t c = 0; c < m; ++c) StoreCounter(counter_++, ctr + 16 * c);
+      cipher_->EncryptBlocksEcb(ctr, out + i, m);
+      i += 16 * m;
     }
-    size_t take = std::min(n - i, 16 - buffer_pos_);
-    std::memcpy(out + i, buffer_ + buffer_pos_, take);
-    buffer_pos_ += take;
-    i += take;
+  }
+  // A partial tail cell is kept for the next call.
+  if (i < n) {
+    uint8_t ctr[16] = {0};
+    StoreCounter(counter_++, ctr);
+    cipher_->EncryptBlock(ctr, buffer_);
+    buffer_pos_ = n - i;
+    std::memcpy(out + i, buffer_, buffer_pos_);
   }
 }
 

@@ -46,6 +46,9 @@ class CtrDrbg {
  public:
   explicit CtrDrbg(const std::string& seed);
 
+  // The stream is AES_k(LE64(i) || 0^8) for i = 0, 1, 2, ..., however
+  // the calls split it. Whole cells are encrypted in ECB batches straight
+  // into `out`.
   void Generate(uint8_t* out, size_t n);
   std::vector<uint8_t> Generate(size_t n);
   std::string GenerateString(size_t n);
@@ -54,6 +57,9 @@ class CtrDrbg {
   uint64_t Uniform(uint64_t n);
 
  private:
+  // Counter blocks per ECB pass (a 1 KiB stack array).
+  static constexpr size_t kCounterBatch = 64;
+
   std::unique_ptr<Aes> cipher_;
   uint64_t counter_ = 0;
   uint8_t buffer_[16];

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <functional>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "cache/buffer_cache.h"
@@ -102,10 +103,13 @@ class EncryptedBlockStore : public BlockStore {
   }
 
   Status WriteBlock(uint64_t block, const uint8_t* buf) override {
-    // Copy so the caller's plaintext buffer is left untouched.
-    std::vector<uint8_t> tmp(buf, buf + cache_->block_size());
-    crypter_->EncryptBlock(block, tmp.data(), tmp.size());
-    return cache_->Write(block, tmp.data());
+    // Encrypt out of place, so the caller's plaintext is left untouched,
+    // into a per-thread staging block (the cache copies it in).
+    const size_t bs = cache_->block_size();
+    static thread_local std::vector<uint8_t> stage;
+    if (stage.size() < bs) stage.resize(bs);
+    crypter_->EncryptBlocks(&block, 1, bs, buf, stage.data());
+    return cache_->Write(block, stage.data());
   }
 
   // Whole-extent fast path. Synchronous form: one vectored cache/device
@@ -164,23 +168,18 @@ class EncryptedBlockStore : public BlockStore {
     AsyncBlockDevice* engine = cache_->async_engine();
     if (engine == nullptr || n <= kAsyncSubBatch) {
       obs::Span span("store.write", "store");
-      std::vector<uint8_t> tmp(data, data + n * bs);
-      std::vector<crypto::CryptSpan> spans(n);
-      for (size_t i = 0; i < n; ++i) {
-        spans[i] = {blocks[i], tmp.data() + i * bs};
-      }
-      crypter_->EncryptBlocks(spans.data(), n, bs);
-      return cache_->WriteBatch(blocks, n, tmp.data());
+      std::unique_ptr<uint8_t[]> stage(new uint8_t[n * bs]);
+      crypter_->EncryptBlocks(blocks, n, bs, data, stage.get());
+      return cache_->WriteBatch(blocks, n, stage.get());
     }
     // Pipeline the mirror image: encrypt sub-batch i+1 while sub-batch
-    // i's device write is in flight. Each sub-batch stages its
-    // ciphertext in a leased span of the engine's registered arena when
-    // one is available — the kernel then skips the per-op page pin
-    // (IORING_OP_WRITE_FIXED) — falling back to heap staging when the
-    // pool is exhausted or the engine has no arena.
+    // i's device write is in flight. Each sub-batch encrypts straight
+    // from the caller's plaintext into a leased span of the engine's
+    // registered arena when one is available — the kernel then skips the
+    // per-op page pin (IORING_OP_WRITE_FIXED) — falling back to heap
+    // staging when the pool is exhausted or the engine has no arena.
     obs::Span pipeline_span("store.write_pipeline", "store");
-    std::vector<uint8_t> tmp;  // heap fallback, sized lazily
-    std::vector<crypto::CryptSpan> spans(kAsyncSubBatch);
+    std::unique_ptr<uint8_t[]> heap;  // fallback staging, sized lazily
     struct Staged {
       CacheIoTicket ticket;
       uint8_t* arena_span = nullptr;
@@ -192,14 +191,11 @@ class EncryptedBlockStore : public BlockStore {
       uint8_t* span = engine->AcquireArenaSpan(count);
       uint8_t* stage = span;
       if (stage == nullptr) {
-        if (tmp.empty()) tmp.resize(n * bs);
-        stage = tmp.data() + off * bs;
+        if (heap == nullptr) heap.reset(new uint8_t[n * bs]);
+        stage = heap.get() + off * bs;
       }
-      std::memcpy(stage, data + off * bs, count * bs);
-      for (size_t i = 0; i < count; ++i) {
-        spans[i] = {blocks[off + i], stage + i * bs};
-      }
-      crypter_->EncryptBlocks(spans.data(), count, bs);
+      crypter_->EncryptBlocks(blocks + off, count, bs, data + off * bs,
+                              stage);
       Staged s;
       s.arena_span = span;
       s.ticket = cache_->WriteBatchAsync(blocks + off, count, stage);

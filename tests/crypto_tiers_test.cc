@@ -3,8 +3,8 @@
 //   - every tier (t-table always; AES-NI when the CPU has it) must match
 //     the FIPS 197 appendix C vectors AND the byte-wise reference
 //     implementation (crypto::AesRef) on random data,
-//   - the ECB / 4-lane batch entry points must match the single-block
-//     path,
+//   - the ECB and eight-lane CBC encrypt entry points must match the
+//     single-block path, in place and out of place,
 //   - the fused CBC decrypt must match single-block decryption plus the
 //     XOR un-chaining, in place and out of place,
 //   - BlockCrypter::{Encrypt,Decrypt}Blocks must be bitwise identical to
@@ -208,23 +208,58 @@ TEST(CryptoTiersTest, CbcDecryptMatchesSingleBlocks) {
   }
 }
 
-TEST(CryptoTiersTest, Encrypt4MatchesSingleBlocks) {
-  Xoshiro rng(0x4444);
+TEST(CryptoTiersTest, CbcEncryptLanesMatchSingleBlocks) {
+  Xoshiro rng(0x8888);
   std::vector<uint8_t> key(32);
   rng.FillBytes(key.data(), key.size());
   Aes aes(key.data(), key.size());
-  uint8_t in[4][16], want[4][16], got[4][16];
-  for (int l = 0; l < 4; ++l) rng.FillBytes(in[l], 16);
-  for (AesTier tier : kAllTiers) {
-    TierScope scope(tier);
-    if (!scope.active()) continue;
-    SCOPED_TRACE(AesTierName());
-    for (int l = 0; l < 4; ++l) aes.EncryptBlock(in[l], want[l]);
-    const uint8_t* inp[4] = {in[0], in[1], in[2], in[3]};
-    uint8_t* outp[4] = {got[0], got[1], got[2], got[3]};
-    aes.Encrypt4(inp, outp);
-    for (int l = 0; l < 4; ++l) {
-      EXPECT_EQ(std::memcmp(got[l], want[l], 16), 0) << "lane " << l;
+  const size_t kCells = 11;
+  for (size_t lanes = 1; lanes <= Aes::kMaxLanes; ++lanes) {
+    std::vector<uint8_t> ivs(lanes * 16);
+    rng.FillBytes(ivs.data(), ivs.size());
+    // Each lane in its own buffer, at unrelated addresses.
+    std::vector<std::vector<uint8_t>> plain(lanes);
+    for (auto& p : plain) {
+      p.resize(kCells * 16);
+      rng.FillBytes(p.data(), p.size());
+    }
+    for (AesTier tier : kAllTiers) {
+      TierScope scope(tier);
+      if (!scope.active()) continue;
+      SCOPED_TRACE(std::string(AesTierName()) + " lanes=" +
+                   std::to_string(lanes));
+      // Ground truth: single-block encryption with the chaining by hand.
+      std::vector<std::vector<uint8_t>> want = plain;
+      for (size_t l = 0; l < lanes; ++l) {
+        const uint8_t* chain = &ivs[16 * l];
+        for (size_t c = 0; c < kCells; ++c) {
+          uint8_t* cell = want[l].data() + 16 * c;
+          for (int b = 0; b < 16; ++b) cell[b] ^= chain[b];
+          aes.EncryptBlock(cell, cell);
+          chain = cell;
+        }
+      }
+      // Out of place: the plaintext stays as it was.
+      std::vector<std::vector<uint8_t>> got(lanes,
+                                            std::vector<uint8_t>(kCells * 16));
+      std::vector<const uint8_t*> in(lanes);
+      std::vector<uint8_t*> out(lanes);
+      for (size_t l = 0; l < lanes; ++l) {
+        in[l] = plain[l].data();
+        out[l] = got[l].data();
+      }
+      const std::vector<std::vector<uint8_t>> before = plain;
+      aes.EncryptCbcLanes(ivs.data(), in.data(), out.data(), lanes, kCells);
+      EXPECT_EQ(got, want);
+      EXPECT_EQ(plain, before);
+      // In place.
+      got = plain;
+      for (size_t l = 0; l < lanes; ++l) {
+        in[l] = got[l].data();
+        out[l] = got[l].data();
+      }
+      aes.EncryptCbcLanes(ivs.data(), in.data(), out.data(), lanes, kCells);
+      EXPECT_EQ(got, want);
     }
   }
 }
@@ -320,34 +355,58 @@ TEST(CryptoTiersTest, BlockCrypterMatchesByteWiseCbcEssivReference) {
   BlockCrypter bc(kKey);
   CbcEssivRef ref(kKey);
   Xoshiro rng(0xe551);
+  // n = 1..17 covers one and two full eight-lane groups and every
+  // remainder. The reference runs once per block size, over the largest
+  // batch; each n uses a prefix of it.
+  const size_t kMaxN = 17;
   for (size_t bs = 512; bs <= 65536; bs *= 2) {
-    for (size_t n = 1; n <= 9; ++n) {
-      // Unsorted, non-contiguous block numbers: the full 64-bit range
-      // mixed with small neighbours.
-      std::vector<uint64_t> numbers(n);
-      for (size_t i = 0; i < n; ++i) {
-        numbers[i] = i % 2 == 0 ? rng.Next() : 1000 - 7 * i;
-      }
-      std::vector<std::vector<uint8_t>> plain(n), cipher(n);
-      for (size_t i = 0; i < n; ++i) {
-        plain[i].resize(bs);
-        rng.FillBytes(plain[i].data(), bs);
-        cipher[i] = ref.Encrypt(numbers[i], plain[i]);
-        ASSERT_EQ(ref.Decrypt(numbers[i], cipher[i]), plain[i]);
-      }
+    // Unsorted, non-contiguous block numbers: the full 64-bit range mixed
+    // with small neighbours.
+    std::vector<uint64_t> numbers(kMaxN);
+    for (size_t i = 0; i < kMaxN; ++i) {
+      numbers[i] = i % 2 == 0 ? rng.Next() : 1000 - 7 * i;
+    }
+    std::vector<std::vector<uint8_t>> plain(kMaxN), cipher(kMaxN);
+    for (size_t i = 0; i < kMaxN; ++i) {
+      plain[i].resize(bs);
+      rng.FillBytes(plain[i].data(), bs);
+      cipher[i] = ref.Encrypt(numbers[i], plain[i]);
+      ASSERT_EQ(ref.Decrypt(numbers[i], cipher[i]), plain[i]);
+    }
+    for (size_t n = 1; n <= kMaxN; ++n) {
       for (AesTier tier : kAllTiers) {
         TierScope scope(tier);
         if (!scope.active()) continue;
         SCOPED_TRACE(std::string(AesTierName()) + " bs=" +
                      std::to_string(bs) + " n=" + std::to_string(n));
         // Batch encrypt and decrypt, in place, one buffer per span.
-        std::vector<std::vector<uint8_t>> buf = plain;
+        std::vector<std::vector<uint8_t>> buf(plain.begin(),
+                                              plain.begin() + n);
         std::vector<CryptSpan> spans(n);
         for (size_t i = 0; i < n; ++i) spans[i] = {numbers[i], buf[i].data()};
         bc.EncryptBlocks(spans.data(), n, bs);
         for (size_t i = 0; i < n; ++i) EXPECT_EQ(buf[i], cipher[i]) << i;
         bc.DecryptBlocks(spans.data(), n, bs);
         for (size_t i = 0; i < n; ++i) EXPECT_EQ(buf[i], plain[i]) << i;
+
+        // Out-of-place batch encrypt from one contiguous plaintext buffer
+        // into another; the plaintext is left untouched.
+        std::vector<uint8_t> flat_in(n * bs), flat_out(n * bs);
+        for (size_t i = 0; i < n; ++i) {
+          std::memcpy(&flat_in[i * bs], plain[i].data(), bs);
+        }
+        const std::vector<uint8_t> flat_before = flat_in;
+        bc.EncryptBlocks(numbers.data(), n, bs, flat_in.data(),
+                         flat_out.data());
+        EXPECT_EQ(flat_in, flat_before);
+        for (size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(std::memcmp(&flat_out[i * bs], cipher[i].data(), bs), 0)
+              << "out of place, span " << i;
+        }
+        // And the same entry point in place.
+        bc.EncryptBlocks(numbers.data(), n, bs, flat_in.data(),
+                         flat_in.data());
+        EXPECT_EQ(flat_in, flat_out);
 
         // Single-block transforms on the last span.
         std::vector<uint8_t> one = plain[n - 1];

@@ -339,5 +339,36 @@ TEST_F(StegFsTest, ConnectIsIdempotent) {
   EXPECT_EQ(fs_->ConnectedObjects("alice").size(), 1u);
 }
 
+TEST_F(StegFsTest, FreePoolCountersMoveWithHiddenWrites) {
+  obs::MetricsRegistry* reg = fs_->plain()->metrics_registry();
+  auto counter = [reg](const char* name) {
+    return reg->Snapshot().counter(name);
+  };
+  const uint64_t topup0 = counter("stegfs_free_pool_topup_blocks_total");
+  const uint64_t release0 = counter("stegfs_free_pool_release_blocks_total");
+
+  ASSERT_TRUE(
+      fs_->StegCreate("alice", "big", "uak-a", HiddenType::kFile).ok());
+  ASSERT_TRUE(fs_->StegConnect("alice", "big", "uak-a").ok());
+  // 64 data blocks of 1 KiB: every one comes out of the pool, and the pool
+  // only refills from the bitmap.
+  for (int i = 0; i < 8; ++i) {
+    ASSERT_TRUE(fs_->HiddenWrite("alice", "big", i * 8192,
+                                 RandomData(8192, 40 + i))
+                    .ok());
+  }
+  const uint64_t topped = counter("stegfs_free_pool_topup_blocks_total");
+  EXPECT_GE(topped - topup0, 64u);
+  EXPECT_EQ(counter("stegfs_free_pool_release_blocks_total"), release0);
+
+  // Truncation returns the data blocks to the pool; all but
+  // free_pool_max of them go back to the file system.
+  ASSERT_TRUE(fs_->HiddenTruncate("alice", "big", 0).ok());
+  const uint64_t released =
+      counter("stegfs_free_pool_release_blocks_total") - release0;
+  EXPECT_GE(released, 64u - fs_->plain()->superblock().steg.free_pool_max);
+  EXPECT_EQ(counter("stegfs_free_pool_topup_blocks_total"), topped);
+}
+
 }  // namespace
 }  // namespace stegfs
